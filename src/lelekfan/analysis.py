@@ -324,11 +324,28 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     breakpoint x_k / P_k or at an endpoint, so the inner minimization is
     evaluated without grid error; only a's own sampling contributes, and the
     upper bound adds half of a's grid spacing as Lipschitz padding.
+
+    A leg of a that equals a leg of b is at distance exactly 0 from b, so
+    only the unshared legs are sampled; when every leg is shared the result
+    is (0.0, padding) without sampling. The padding still covers all of a's
+    legs. The result is bit-identical to sampling every leg: a shared leg's
+    float distance is already exactly 0.0 (its own parameter is a candidate
+    and the metric weights are powers of two, so both sides round alike),
+    and the max over the remaining samples uses the same arithmetic.
     """
     if a.depth != b.depth:
         raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
     if grid < 1:
         raise DomainError("grid must be a positive integer")
+    padding = 0.5 * sample_resolution(a, grid)
+    # Looked up by word (half the Fraction hashing of a whole leg) but matched
+    # on the whole leg, so a hand-built leg whose products or cap disagree
+    # with b's leg of the same word still goes through the kernel.
+    b_by_word = {leg.word.symbols: leg for leg in b.legs}
+    unshared = tuple(leg for leg in a.legs if b_by_word.get(leg.word.symbols) != leg)
+    if not unshared:
+        return 0.0, padding
+    a = FanApprox(a.relation, a.depth, unshared)
     weights = _metric_weights(a.depth)
     dirs_b, caps_b = _leg_arrays(b)
     dirs_a, caps_a = _leg_arrays(a)
@@ -362,7 +379,6 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
         for k in range(a.depth + 1):
             dist += np.abs(pts_w[:, None, None, k] - cand * dirs_bw[None, :, None, k])
         worst = max(worst, float(dist.min(axis=(1, 2)).max()))
-    padding = 0.5 * sample_resolution(a, grid)
     return worst, worst + padding
 
 
@@ -372,8 +388,6 @@ def hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[flo
     lower <= true distance <= upper; the gap shrinks as the grid grows.
     """
     lo_ab, up_ab = directed_hausdorff(a, b, grid)
-    if a is b:
-        return lo_ab, up_ab
     lo_ba, up_ba = directed_hausdorff(b, a, grid)
     return max(lo_ab, lo_ba), max(up_ab, up_ba)
 

@@ -50,7 +50,6 @@ class GlobalConfig:
     seed: int = 0
     enum_budget: int = mahavier.DEFAULT_ENUM_BUDGET
     greedy_budget: int = analysis.DEFAULT_GREEDY_BUDGET
-    oracle_budget: int = analysis.DEFAULT_ORACLE_BUDGET
     threads: int | None = None
 
     @classmethod
@@ -69,7 +68,7 @@ class GlobalConfig:
                 config.greedy_budget = budget
             else:
                 config.enum_budget = budget
-        if min(config.enum_budget, config.greedy_budget, config.oracle_budget) < 1:
+        if min(config.enum_budget, config.greedy_budget) < 1:
             raise DomainError("budgets must be positive")
         if config.depth < 0:
             raise DomainError("depth must be non-negative")
@@ -112,9 +111,15 @@ def _relation(kind: str, config: GlobalConfig) -> mahavier.RelationSpec:
     return mahavier.line_pair_relation(config.r, config.rho)
 
 
+def _require_count(name: str, count: int) -> None:
+    if count < 1:
+        raise DomainError(f"{name} must be a positive integer, got {count}")
+
+
 def _build_fan(args, config: GlobalConfig, kind: str) -> mahavier.FanApprox:
     relation = _relation(kind, config)
-    if getattr(args, "sample", None):
+    if args.sample is not None:
+        _require_count("--sample", args.sample)
         legs = mahavier.sample_legs(relation, config.depth, args.sample, config.seed)
         return mahavier.FanApprox(relation, config.depth, legs)
     return mahavier.enumerate_legs(relation, config.depth, config.enum_budget)
@@ -177,8 +182,8 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
             else "not_certified"
         )
         kinds[kind] += 1
-        if mahavier.is_degenerating(leg, threshold):
-            degenerating += 1
+        flagged = mahavier.is_degenerating(leg, threshold)
+        degenerating += flagged
         legs_report.append(
             {
                 "word": [format_scalar(s) for s in leg.word.symbols],
@@ -186,7 +191,7 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
                 "kind": kind,
                 "peak_index": verdict.peak_index,
                 "peak_value": format_scalar(verdict.peak_value),
-                "degenerating": mahavier.is_degenerating(leg, threshold),
+                "degenerating": flagged,
             }
         )
     _emit(
@@ -207,6 +212,7 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
 
 
 def cmd_density(args, config: GlobalConfig) -> int:
+    _require_count("--samples", args.samples)
     require_nc(config.r, config.rho)
     epsilon = parse_scalar(args.epsilon)
     delta = parse_scalar(args.delta)
@@ -247,6 +253,7 @@ def cmd_density(args, config: GlobalConfig) -> int:
 
 
 def cmd_embed_check(args, config: GlobalConfig) -> int:
+    _require_count("--samples", args.samples)
     report = analysis.verify_embedding(
         config.r,
         config.rho,

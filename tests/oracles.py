@@ -129,3 +129,42 @@ def best_climb_max_by_enumeration(x: Fraction, r: Fraction, rho: Fraction, steps
                     nxt.append((value, new_peak))
         frontier = nxt
     return best
+
+
+def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
+    """Exact max over a's grid samples of the min distance to b's legs, in Fractions.
+
+    Legs are rebuilt from their words: prefix products P_k, cap 1/max(1, P_k).
+    Each a-leg is sampled at t = cap * i / grid for i = 0..grid. The distance
+    from a point x to the b-leg at parameter s, sum_k 2^-(k+1) |x_k - s P_k|
+    (P_0 = 1), is convex and piecewise linear in s, so its minimum over
+    [0, cap] is taken at a breakpoint x_k / P_k inside the interval or at one
+    of the two ends; all of them are evaluated.
+    """
+
+    def leg(word):
+        products = [Fraction(1)]
+        for s in word:
+            products.append(products[-1] * s)
+        return products, 1 / max(Fraction(1), max(products))
+
+    def distance(x, products, s):
+        return sum(abs(xk - s * pk) / (1 << (k + 1)) for k, (xk, pk) in enumerate(zip(x, products)))
+
+    b_legs = [leg(word) for word in b_words]
+    worst = Fraction(0)
+    for word in a_words:
+        products, cap = leg(word)
+        for i in range(grid + 1):
+            t = cap * i / grid
+            x = [t * p for p in products]
+            best = None
+            for b_products, b_cap in b_legs:
+                candidates = {Fraction(0), b_cap}
+                candidates.update(xk / pk for xk, pk in zip(x, b_products) if xk / pk <= b_cap)
+                for s in candidates:
+                    d = distance(x, b_products, s)
+                    if best is None or d < best:
+                        best = d
+            worst = max(worst, best)
+    return worst

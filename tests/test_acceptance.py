@@ -6,6 +6,7 @@ lines alongside pytest's own report.
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
@@ -255,7 +256,7 @@ def test_c9_render_determinism(tmp_path):
             ],
             check=True,
             capture_output=True,
-            env={"PATH": "/usr/bin:/bin", "FAN_THREADS": str(threads)},
+            env={**os.environ, "FAN_THREADS": str(threads)},
         )
         return path.read_bytes()
 

@@ -12,6 +12,8 @@ from lelekfan import (
     DomainError,
     EXACT,
     EndpointCertificate,
+    FanApprox,
+    Leg,
     NcViolation,
     NotEndpointVerdict,
     PointPrefix,
@@ -38,7 +40,8 @@ from lelekfan import (
     truncated_metric,
     verify_embedding,
 )
-from oracles import best_climb_max_by_enumeration
+from lelekfan import analysis
+from oracles import best_climb_max_by_enumeration, hausdorff_max_min_exact
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -291,6 +294,98 @@ def test_hausdorff_enclosures_nest_across_grids():
             assert lower_a <= upper_b + 1e-12
     widths = [upper - lower for lower, upper in intervals]
     assert widths == sorted(widths, reverse=True)
+
+
+def _partially_shared(depth: int, seed: int = 5):
+    # a: a shuffled half of F plus the diagonal-free legs; b: the other half
+    # of F. Every diagonal-free word is an F word, so a and b share the
+    # diagonal-free legs that fell into b's half, and nothing else.
+    legs = list(enumerate_legs(F, depth).legs)
+    random.Random(seed).shuffle(legs)
+    half, rest = legs[: len(legs) // 2], legs[len(legs) // 2 :]
+    extra = [leg for leg in enumerate_legs(line_pair_relation(R, RHO), depth).legs if leg not in half]
+    return FanApprox(F, depth, tuple(half + extra)), FanApprox(F, depth, tuple(rest))
+
+
+def test_hausdorff_shared_legs_skip_kernel(monkeypatch):
+    # Record the fans the kernel converts to arrays, leaving out the
+    # padding computation, which covers all of a's legs by design.
+    seen, in_padding = [], []
+    leg_arrays, resolution = analysis._leg_arrays, analysis.sample_resolution
+
+    def recording_leg_arrays(fan):
+        if not in_padding:
+            seen.append(fan)
+        return leg_arrays(fan)
+
+    def padding_resolution(fan, grid):
+        in_padding.append(True)
+        try:
+            return resolution(fan, grid)
+        finally:
+            in_padding.pop()
+
+    monkeypatch.setattr(analysis, "_leg_arrays", recording_leg_arrays)
+    monkeypatch.setattr(analysis, "sample_resolution", padding_resolution)
+
+    f_fan = enumerate_legs(F, 4)
+    g_fan = enumerate_legs(cantor_relation(R), 4)
+    assert directed_hausdorff(g_fan, f_fan, grid=8)[0] == 0.0
+    assert hausdorff(f_fan, f_fan, grid=8)[0] == 0.0
+    assert seen == []
+
+    # Same word as an F leg, different cap: not shared.
+    leg = f_fan.legs[-1]
+    halved = FanApprox(F, 4, (Leg(leg.word, leg.prefix_products, leg.t_max / 2),))
+    directed_hausdorff(halved, f_fan, grid=8)
+    assert [fan.legs for fan in seen if fan is not f_fan] == [halved.legs]
+    seen.clear()
+
+    a, b = _partially_shared(4)
+    shared = set(a.legs) & set(b.legs)
+    assert 0 < len(shared) < len(a.legs)
+    directed_hausdorff(a, b, grid=8)
+    assert [fan.legs for fan in seen if fan is not b] == [
+        tuple(leg for leg in a.legs if leg not in shared)
+    ]
+
+
+def test_hausdorff_partially_shared_pair():
+    a, b = _partially_shared(4)
+    grid = 8
+    lower, upper = directed_hausdorff(a, b, grid)
+    unshared = FanApprox(F, 4, tuple(leg for leg in a.legs if leg not in set(b.legs)))
+    assert lower > 0.0
+    assert lower == directed_hausdorff(unshared, b, grid)[0]
+    assert upper == lower + 0.5 * sample_resolution(a, grid)
+    rng = random.Random(11)
+    a_legs, b_legs = list(a.legs), list(b.legs)
+    rng.shuffle(a_legs)
+    rng.shuffle(b_legs)
+    shuffled = directed_hausdorff(FanApprox(F, 4, tuple(a_legs)), FanApprox(F, 4, tuple(b_legs)), grid)
+    assert shuffled == (lower, upper)
+
+
+def test_hausdorff_lower_matches_exact_oracle():
+    depth, grid = 3, 4
+    f_fan = enumerate_legs(F, depth)
+    g_fan = enumerate_legs(cantor_relation(R), depth)
+    l_fan = enumerate_legs(line_pair_relation(R, RHO), depth)
+    partial_a, partial_b = _partially_shared(depth)
+    pairs = {
+        "nested G in F": (g_fan, f_fan),
+        "nested L in F": (l_fan, f_fan),
+        "partially shared": (partial_a, partial_b),
+        "F to L, L legs shared": (f_fan, l_fan),
+        "crossed G to L": (g_fan, l_fan),
+        "crossed L to G": (l_fan, g_fan),
+    }
+    for name, (a, b) in pairs.items():
+        lower, _ = directed_hausdorff(a, b, grid)
+        exact = hausdorff_max_min_exact(
+            [leg.word.symbols for leg in a.legs], [leg.word.symbols for leg in b.legs], grid
+        )
+        assert abs(lower - float(exact)) <= 1e-12, name
 
 
 def test_hausdorff_shape_and_grid_errors():

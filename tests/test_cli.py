@@ -88,6 +88,28 @@ def test_build_sampled(capsys, tmp_path):
     assert len(load_fan(out).legs) == 25
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--depth", "3", "--sample", "0"],
+        ["build", "--depth", "3", "--sample", "-2"],
+        ["density", "--depth", "12", "--samples", "-5"],
+        ["embed-check", "--depth", "3", "--samples", "0"],
+    ],
+    ids=["build-sample-0", "build-sample-negative", "density-samples-negative", "embed-check-samples-0"],
+)
+def test_non_positive_sample_count_exits_3(capsys, tmp_path, argv):
+    out = tmp_path / "out.json"
+    if argv[0] == "build":
+        argv = argv + ["--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "must be a positive integer" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_greedy_output(capsys):
     code, data = run(capsys, "greedy", "--x", "2/5", "--r", "1/2", "--rho", "3", "--steps", "4")
     assert code == 0
