@@ -301,6 +301,11 @@ def _metric_weights(depth: int):
     return np.array([2.0 ** -(k + 1) for k in range(depth + 1)])
 
 
+def _require_legs(*fans: FanApprox) -> None:
+    if any(not fan.legs for fan in fans):
+        raise DomainError("a fan with no legs has no Hausdorff distance")
+
+
 def sample_resolution(fan: FanApprox, grid: int) -> float:
     """Metric spacing of the leg sample grid: max over legs of (Lipschitz constant * step).
 
@@ -310,9 +315,60 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
     """
     if grid < 1:
         raise DomainError("grid must be a positive integer")
+    _require_legs(fan)
     dirs, caps = _leg_arrays(fan)
     weights = _metric_weights(fan.depth)
     return float(np.max((dirs @ weights) * caps / grid))
+
+
+def _candidate_distances(pts, pts_w, dirs, dirs_w, caps):
+    """Distance from each sample to each leg at each candidate parameter.
+
+    `pts` and `pts_w` (the samples, plain and weighted) are (samples, coords);
+    `dirs`, `dirs_w` (legs, coords) and `caps` (legs) carry a leading axis
+    that broadcasts against the samples: 1 for all legs against every sample,
+    or one leg per sample. Returns (samples, legs, candidates).
+    """
+    # Candidate parameters: per-coordinate breakpoints clipped to the leg,
+    # plus both endpoints.
+    cand = pts[:, None, :] / dirs
+    np.minimum(cand, caps[..., None], out=cand)
+    np.maximum(cand, 0.0, out=cand)
+    ends = np.broadcast_to(caps[..., None], cand.shape[:2] + (1,))
+    cand = np.concatenate([cand, np.zeros(ends.shape), ends], axis=2)
+    # Accumulate coordinate by coordinate to keep temporaries at
+    # (samples, legs, candidates) size.
+    dist = np.zeros(cand.shape)
+    for k in range(pts.shape[1]):
+        dist += np.abs(pts_w[:, None, None, k] - cand * dirs_w[..., None, k])
+    return dist
+
+
+def _nearest_leg(pts, pts_w, dirs_b, dirs_bw, caps_b):
+    """Per sample: the min distance over all of b's legs, and the leg attaining it."""
+    mins = np.empty(pts.shape[0])
+    nearest = np.empty(pts.shape[0], dtype=np.intp)
+    chunk = max(1, int(2**21 // (dirs_b.shape[0] * (pts.shape[1] + 2) + 1)))
+    for lo in range(0, pts.shape[0], chunk):
+        hi = lo + chunk
+        per_leg = _candidate_distances(
+            pts[lo:hi], pts_w[lo:hi], dirs_b[None], dirs_bw[None], caps_b[None]
+        ).min(axis=2)
+        nearest[lo:hi] = per_leg.argmin(axis=1)
+        mins[lo:hi] = per_leg.min(axis=1)
+    return mins, nearest
+
+
+def _one_leg_bound(pts, pts_w, dirs, dirs_w, caps):
+    """Per sample: the min distance to its own leg (row i of dirs, dirs_w, caps)."""
+    bound = np.empty(pts.shape[0])
+    chunk = max(1, int(2**21 // (pts.shape[1] + 3)))
+    for lo in range(0, pts.shape[0], chunk):
+        hi = lo + chunk
+        bound[lo:hi] = _candidate_distances(
+            pts[lo:hi], pts_w[lo:hi], dirs[lo:hi, None], dirs_w[lo:hi, None], caps[lo:hi, None]
+        ).min(axis=(1, 2))
+    return bound
 
 
 def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[float, float]:
@@ -332,11 +388,28 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     float distance is already exactly 0.0 (its own parameter is a candidate
     and the metric weights are powers of two, so both sides round alike),
     and the max over the remaining samples uses the same arithmetic.
+
+    Each unshared leg's far end (t = t_max) is measured against all of b
+    first, and the max of those distances starts the running max. Fans are
+    star-shaped from the origin, so d(lam*x) <= lam*d(x) for 0 <= lam <= 1,
+    where d is the distance to b: the point lam*s*v of the b-leg nearest to
+    x stays on that leg, and |lam*x - lam*s*v| = lam*|x - s*v|. Every other
+    sample of a leg is therefore measured first against the far end's
+    nearest b-leg only. That value bounds the sample's min over b from
+    above, so a sample whose bound is at most the running max cannot raise
+    it. A sample whose bound exceeds the running max (rounding could allow
+    it; none has been seen) falls back to the full min over b and raises
+    the running max if it can. The result is bit-identical to
+    measuring every sample against every leg of b, by construction: each
+    (sample, b-leg) distance comes from the same elementwise float
+    operations in either pass, so a skipped sample's float min is at most
+    its float bound, which is at most the float running max.
     """
     if a.depth != b.depth:
         raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
     if grid < 1:
         raise DomainError("grid must be a positive integer")
+    _require_legs(a, b)
     padding = 0.5 * sample_resolution(a, grid)
     # Looked up by word (half the Fraction hashing of a whole leg) but matched
     # on the whole leg, so a hand-built leg whose products or cap disagree
@@ -349,36 +422,26 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     weights = _metric_weights(a.depth)
     dirs_b, caps_b = _leg_arrays(b)
     dirs_a, caps_a = _leg_arrays(a)
-
-    steps = np.arange(grid + 1) / grid
-    # All sample points of a: (legs * (grid+1), depth+1).
-    points = (caps_a[:, None] * steps[None, :])[:, :, None] * dirs_a[:, None, :]
-    points = points.reshape(-1, a.depth + 1)
-
     # Weights fold into the data: sum_k w_k |a_k - s v_k| = sum_k |w_k a_k - s w_k v_k|.
-    points_w = points * weights[None, :]
     dirs_bw = dirs_b * weights[None, :]
 
-    worst = 0.0
-    chunk = max(1, int(2**21 // (dirs_b.shape[0] * (a.depth + 3) + 1)))
-    for lo in range(0, points.shape[0], chunk):
-        pts = points[lo : lo + chunk]
-        pts_w = points_w[lo : lo + chunk]
-        # Candidate parameters: per-coordinate breakpoints clipped to the leg,
-        # plus both endpoints.
-        cand = pts[:, None, :] / dirs_b[None, :, :]
-        np.minimum(cand, caps_b[None, :, None], out=cand)
-        np.maximum(cand, 0.0, out=cand)
-        ends = np.broadcast_to(caps_b[None, :, None], (pts.shape[0], caps_b.shape[0], 1))
-        cand = np.concatenate(
-            [cand, np.zeros((pts.shape[0], caps_b.shape[0], 1)), ends], axis=2
-        )
-        # Accumulate coordinate by coordinate to keep temporaries at
-        # (points, legs, candidates) size.
-        dist = np.zeros(cand.shape)
-        for k in range(a.depth + 1):
-            dist += np.abs(pts_w[:, None, None, k] - cand * dirs_bw[None, :, None, k])
-        worst = max(worst, float(dist.min(axis=(1, 2)).max()))
+    steps = np.arange(grid + 1) / grid
+    # All sample points of a: (legs, grid+1, depth+1); the last sample of
+    # each leg is its far end.
+    points = (caps_a[:, None] * steps[None, :])[:, :, None] * dirs_a[:, None, :]
+    points_w = points * weights
+
+    far, nearest = _nearest_leg(points[:, -1], points_w[:, -1], dirs_b, dirs_bw, caps_b)
+    worst = float(far.max())
+
+    inner = points[:, :-1].reshape(-1, a.depth + 1)
+    inner_w = points_w[:, :-1].reshape(-1, a.depth + 1)
+    near = np.repeat(nearest, grid)
+    bound = _one_leg_bound(inner, inner_w, dirs_b[near], dirs_bw[near], caps_b[near])
+    survivors = bound > worst
+    if survivors.any():
+        rest, _ = _nearest_leg(inner[survivors], inner_w[survivors], dirs_b, dirs_bw, caps_b)
+        worst = max(worst, float(rest.max()))
     return worst, worst + padding
 
 

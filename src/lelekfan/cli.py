@@ -146,6 +146,11 @@ def cmd_build(args, config: GlobalConfig) -> int:
 
 
 def cmd_greedy(args, config: GlobalConfig) -> int:
+    _require_count("--steps", args.steps)
+    if args.steps > config.greedy_budget:
+        raise ResourceError(
+            f"--steps {args.steps} exceeds the greedy budget {config.greedy_budget}"
+        )
     trace = analysis.greedy_sequence(
         parse_scalar(args.x), config.r, config.rho, args.steps
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lelekfan import (
@@ -367,7 +368,7 @@ def test_hausdorff_partially_shared_pair():
 
 
 def test_hausdorff_lower_matches_exact_oracle():
-    depth, grid = 3, 4
+    depth = 3
     f_fan = enumerate_legs(F, depth)
     g_fan = enumerate_legs(cantor_relation(R), depth)
     l_fan = enumerate_legs(line_pair_relation(R, RHO), depth)
@@ -380,12 +381,105 @@ def test_hausdorff_lower_matches_exact_oracle():
         "crossed G to L": (g_fan, l_fan),
         "crossed L to G": (l_fan, g_fan),
     }
+    for grid in (1, 4, 8):
+        for name, (a, b) in pairs.items():
+            lower, _ = directed_hausdorff(a, b, grid)
+            exact = hausdorff_max_min_exact(
+                [leg.word.symbols for leg in a.legs], [leg.word.symbols for leg in b.legs], grid
+            )
+            assert abs(lower - float(exact)) <= 1e-12, (name, grid)
+
+
+def _crossed_pairs(depth: int):
+    f_fan = enumerate_legs(F, depth)
+    g_fan = enumerate_legs(cantor_relation(R), depth)
+    l_fan = enumerate_legs(line_pair_relation(R, RHO), depth)
+    return {
+        "F to L": (f_fan, l_fan),
+        "G to L": (g_fan, l_fan),
+        "L to G": (l_fan, g_fan),
+        "F to G": (f_fan, g_fan),
+    }
+
+
+def _far_ends(legs):
+    # The kernel's far-end sample: (t_max * 1.0) * P_k, P_0 = 1.
+    return [[float(leg.t_max) * float(p) for p in (1,) + leg.prefix_products] for leg in legs]
+
+
+def _record_full_path(monkeypatch):
+    # Record the sample rows that go through the all-of-b helper.
+    seen = []
+    nearest_leg = analysis._nearest_leg
+
+    def recording(pts, *rest):
+        seen.append(pts.tolist())
+        return nearest_leg(pts, *rest)
+
+    monkeypatch.setattr(analysis, "_nearest_leg", recording)
+    return seen
+
+
+def test_hausdorff_only_far_ends_reach_full_min(monkeypatch):
+    pairs = _crossed_pairs(4)
+    seen = _record_full_path(monkeypatch)
+    for name in ("F to L", "G to L"):
+        a, b = pairs[name]
+        seen.clear()
+        lower, _ = directed_hausdorff(a, b, grid=8)
+        b_legs = set(b.legs)
+        unshared = [leg for leg in a.legs if leg not in b_legs]
+        assert 0 < len(unshared) < len(a.legs), name
+        assert seen == [_far_ends(unshared)], name
+        assert lower > 0.0, name
+
+
+def test_hausdorff_fallback_matches_pruned(monkeypatch):
+    # A bound of +inf prunes nothing: every interior sample takes the full
+    # min over b, and the result must not change by a single bit.
+    pairs = _crossed_pairs(4)
+    grid = 8
+    pruned = {name: directed_hausdorff(a, b, grid) for name, (a, b) in pairs.items()}
+    pruned_both = hausdorff(*pairs["G to L"], grid)
+    seen = _record_full_path(monkeypatch)
+    monkeypatch.setattr(
+        analysis, "_one_leg_bound", lambda pts, *rest: np.full(pts.shape[0], np.inf)
+    )
     for name, (a, b) in pairs.items():
-        lower, _ = directed_hausdorff(a, b, grid)
-        exact = hausdorff_max_min_exact(
-            [leg.word.symbols for leg in a.legs], [leg.word.symbols for leg in b.legs], grid
-        )
-        assert abs(lower - float(exact)) <= 1e-12, name
+        seen.clear()
+        assert directed_hausdorff(a, b, grid) == pruned[name], name
+        b_legs = set(b.legs)
+        unshared = sum(leg not in b_legs for leg in a.legs)
+        assert [len(rows) for rows in seen] == [unshared, unshared * grid], name
+    assert hausdorff(*pairs["G to L"], grid) == pruned_both
+
+
+def test_far_ends_attain_exact_max_min():
+    # Exact Fractions, no floats: the max over all grid samples equals the max
+    # over the far ends alone. With grid 1 the samples are t = 0 (distance 0,
+    # since s = 0 is a candidate) and the far end, so grid 1 is the far-end max.
+    depth = 3
+    for name, (a, b) in _crossed_pairs(depth).items():
+        a_words = [leg.word.symbols for leg in a.legs]
+        b_words = [leg.word.symbols for leg in b.legs]
+        far = hausdorff_max_min_exact(a_words, b_words, 1)
+        assert far > 0, name
+        for grid in (3, 8):
+            assert hausdorff_max_min_exact(a_words, b_words, grid) == far, (name, grid)
+
+
+@pytest.mark.parametrize("a_empty,b_empty", [(True, False), (False, True), (True, True)], ids=["a", "b", "both"])
+def test_hausdorff_empty_fan_is_domain_error(a_empty, b_empty):
+    fan = enumerate_legs(F, 3)
+    empty = FanApprox(F, 3, ())
+    a, b = (empty if a_empty else fan), (empty if b_empty else fan)
+    with pytest.raises(DomainError, match="no legs"):
+        directed_hausdorff(a, b)
+    with pytest.raises(DomainError, match="no legs"):
+        hausdorff(a, b)
+    if a_empty:
+        with pytest.raises(DomainError, match="no legs"):
+            sample_resolution(a, 8)
 
 
 def test_hausdorff_shape_and_grid_errors():

@@ -118,6 +118,22 @@ def test_greedy_output(capsys):
     assert data["running_max"] == "9/10"
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_greedy_non_positive_steps_exit_3(capsys, steps):
+    assert main(["greedy", "--x", "1/3", "--steps", steps]) == 3
+    captured = capsys.readouterr()
+    assert "--steps must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_greedy_steps_over_budget_exit_4(capsys):
+    # Refused before climbing: 200000 steps would run for many seconds.
+    assert main(["greedy", "--x", "1/3", "--steps", "200000"]) == 4
+    captured = capsys.readouterr()
+    assert "exceeds the greedy budget 10000" in captured.err
+    assert captured.out == ""
+
+
 def test_greedy_domain_exit(capsys):
     assert main(["greedy", "--x", "0", "--steps", "4"]) == 3
     assert main(["greedy", "--x", "1/2", "--rho", "2", "--steps", "4"]) == 2
