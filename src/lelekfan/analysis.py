@@ -22,9 +22,9 @@ from .mahavier import (
     FanApprox,
     PointPrefix,
     RelationSpec,
-    Word,
     build_leg,
     cantor_relation,
+    draw_word,
     enumerate_legs,
     fan_relation,
     leg_point,
@@ -278,11 +278,9 @@ def sample_deep_points(
 ) -> list[PointPrefix]:
     """Deterministic depth-n point sample for depths where enumeration is infeasible."""
     rng = random.Random(seed)
-    n_slopes = len(relation.slopes)
     points = []
     for _ in range(count):
-        word = Word(tuple(relation.slopes[rng.randrange(n_slopes)] for _ in range(depth)))
-        leg = build_leg(word)
+        leg = build_leg(draw_word(rng, relation, depth))
         t = leg.t_max * rng.randint(0, t_denominator) / t_denominator
         points.append(leg_point(leg, t))
     return points

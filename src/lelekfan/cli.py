@@ -178,6 +178,7 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
     kinds = {"exact": 0, "approximate": 0, "not_certified": 0}
     legs_report = []
     degenerating = 0
+    format_word = mahavier.word_formatter(fan.relation)
     for leg in fan.legs:
         tip = mahavier.leg_point(leg, leg.t_max)
         verdict = analysis.classify_endpoint(tip, delta)
@@ -191,7 +192,7 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
         degenerating += flagged
         legs_report.append(
             {
-                "word": [format_scalar(s) for s in leg.word.symbols],
+                "word": format_word(leg.word),
                 "t_max": format_scalar(leg.t_max),
                 "kind": kind,
                 "peak_index": verdict.peak_index,

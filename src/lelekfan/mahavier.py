@@ -17,7 +17,6 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -71,12 +70,19 @@ def line_pair_relation(r, rho) -> RelationSpec:
 
 @dataclass(frozen=True)
 class Word:
-    """Finite sequence of slopes indexing one leg."""
+    """Finite sequence of slopes indexing one leg.
+
+    Symbols are converted to a tuple of Fractions unless they already are
+    one (a tuple whose items are all exactly of type Fraction), so words
+    built from a relation's slopes are stored as given.
+    """
 
     symbols: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(Fraction(s) for s in self.symbols))
+        symbols = self.symbols
+        if type(symbols) is not tuple or any(type(s) is not Fraction for s in symbols):
+            object.__setattr__(self, "symbols", tuple(Fraction(s) for s in symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -149,18 +155,23 @@ def membership(point: PointPrefix, relation: RelationSpec) -> bool:
     return True
 
 
+def _t_max(peak: Fraction) -> Fraction:
+    # peak = max(1, P_1, ..., P_n)
+    return 1 / peak if peak > 1 else Fraction(1)
+
+
 def build_leg(word: Word) -> Leg:
     """Compute a word's prefix products and parameter cap exactly."""
     products = []
-    acc = Fraction(1)
+    acc = peak = Fraction(1)
     for s in word.symbols:
         if s <= 0:
             raise DomainError(f"word symbols must be positive, got {format_scalar(s)}")
         acc = acc * s
         products.append(acc)
-    cap = max(products) if products else Fraction(1)
-    t_max = 1 / cap if cap > 1 else Fraction(1)
-    return Leg(word, tuple(products), t_max)
+        if acc > peak:
+            peak = acc
+    return Leg(word, tuple(products), _t_max(peak))
 
 
 def leg_point(leg: Leg, t) -> PointPrefix:
@@ -177,11 +188,14 @@ def leg_point(leg: Leg, t) -> PointPrefix:
 def enumerate_legs(
     relation: RelationSpec, depth: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> FanApprox:
-    """All legs of the given depth, deduplicated by prefix-product sequence.
+    """All legs of the given depth, one per word, in lexicographic slope order.
 
-    Words are generated in lexicographic slope order, so the result is
-    deterministic. Raises ResourceError when |slopes|^depth exceeds the
-    budget; use sample_legs for such depths.
+    Words are grown breadth-first: each extends its parent's last prefix
+    product and running max, so a leg costs one Fraction multiply. Distinct
+    words give distinct legs: slopes are distinct and positive, so at the
+    first symbol where two words differ their prefix products differ too.
+    Raises ResourceError when |slopes|^depth exceeds the budget; use
+    sample_legs for such depths.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
@@ -191,15 +205,26 @@ def enumerate_legs(
             f"{len(relation.slopes)}^{depth} = {total} legs exceeds the budget "
             f"{budget}; use sampling instead (sample_legs / --sample)"
         )
-    legs = []
-    seen = set()
-    for symbols in itertools.product(relation.slopes, repeat=depth):
-        leg = build_leg(Word(symbols))
-        if leg.prefix_products in seen:
-            continue
-        seen.add(leg.prefix_products)
-        legs.append(leg)
-    return FanApprox(relation, depth, tuple(legs))
+    one = Fraction(1)
+    # (symbols, prefix products, last product, running max of 1 and the products)
+    level = [((), (), one, one)]
+    for _ in range(depth):
+        children = []
+        for symbols, products, last, peak in level:
+            for s in relation.slopes:
+                p = last * s
+                children.append((symbols + (s,), products + (p,), p, p if p > peak else peak))
+        level = children
+    legs = tuple(
+        Leg(Word(symbols), products, _t_max(peak)) for symbols, products, _, peak in level
+    )
+    return FanApprox(relation, depth, legs)
+
+
+def draw_word(rng: random.Random, relation: RelationSpec, depth: int) -> Word:
+    """One word drawn uniformly over slopes^depth: `depth` calls of rng.randrange."""
+    slopes = relation.slopes
+    return Word(tuple(slopes[rng.randrange(len(slopes))] for _ in range(depth)))
 
 
 def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tuple[Leg, ...]:
@@ -207,12 +232,7 @@ def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tu
     if depth < 0:
         raise DomainError("depth must be non-negative")
     rng = random.Random(seed)
-    n_slopes = len(relation.slopes)
-    legs = []
-    for _ in range(count):
-        symbols = tuple(relation.slopes[rng.randrange(n_slopes)] for _ in range(depth))
-        legs.append(build_leg(Word(symbols)))
-    return tuple(legs)
+    return tuple(build_leg(draw_word(rng, relation, depth)) for _ in range(count))
 
 
 def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction]:
@@ -245,52 +265,100 @@ def is_degenerating(leg: Leg, threshold: Fraction = DEGENERACY_THRESHOLD) -> boo
     return leg.t_max < threshold
 
 
+def word_formatter(relation: RelationSpec):
+    """A function formatting a word's symbols, each relation slope formatted once.
+
+    A symbol that is not a slope of the relation (a hand-built leg) is
+    formatted on its own.
+    """
+    texts = {s: format_scalar(s) for s in relation.slopes}
+
+    def format_word(word: Word) -> list[str]:
+        return [texts.get(s) or format_scalar(s) for s in word.symbols]
+
+    return format_word
+
+
 def fan_to_dict(fan: FanApprox) -> dict:
     """JSON-ready form of a fan: slopes, depth and per-leg word plus t_max."""
+    format_word = word_formatter(fan.relation)
     return {
         "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
         "depth": fan.depth,
         "legs": [
-            {
-                "word": [format_scalar(s) for s in leg.word.symbols],
-                "t_max": format_scalar(leg.t_max),
-            }
+            {"word": format_word(leg.word), "t_max": format_scalar(leg.t_max)}
             for leg in fan.legs
         ],
     }
+
+
+def _list_field(value, what: str) -> list:
+    if type(value) is not list:
+        raise FormatError(f"malformed leg file: {what} {value!r} is not a list")
+    return value
+
+
+def _parse_text(text, what: str) -> Fraction:
+    if type(text) is not str:
+        raise FormatError(f"malformed leg file: {what} {text!r} is not a string")
+    return parse_scalar(text)
 
 
 def fan_from_dict(data: dict) -> FanApprox:
     """Rebuild a fan from its JSON form, recomputing and verifying each leg.
 
     Prefix products are recomputed from the stored words; a stored t_max
-    that disagrees with the recomputed value is a FormatError.
+    that disagrees with the recomputed value is a FormatError, and so is
+    any field of the wrong JSON type. Each distinct scalar text is parsed
+    and checked once per call.
     """
     try:
-        slopes = tuple(parse_scalar(s) for s in data["relation"]["slopes"])
-        depth = int(data["depth"])
+        slope_texts = data["relation"]["slopes"]
+        depth = data["depth"]
         raw_legs = data["legs"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed leg file: {exc}") from exc
-    relation = RelationSpec(slopes)
+    if type(depth) is not int:
+        raise FormatError(f"malformed leg file: depth {depth!r} is not an integer")
+    relation = RelationSpec(
+        tuple(_parse_text(s, "slope") for s in _list_field(slope_texts, "slopes"))
+    )
+    own_slope = {s: s for s in relation.slopes}
+    symbol_of: dict[str, Fraction] = {}  # word text -> the relation's own slope
+    t_max_of: dict[str, Fraction] = {}
     legs = []
-    for raw in raw_legs:
-        symbols = tuple(parse_scalar(s) for s in raw["word"])
-        if len(symbols) != depth:
+    for raw in _list_field(raw_legs, "legs"):
+        if type(raw) is not dict:
+            raise FormatError(f"malformed leg file: leg {raw!r} is not an object")
+        for key in ("word", "t_max"):
+            if key not in raw:
+                raise FormatError(f"malformed leg file: leg {raw!r} has no {key!r}")
+        word_texts = _list_field(raw["word"], "word")
+        if len(word_texts) != depth:
             raise FormatError(
-                f"word {raw['word']} has length {len(symbols)}, expected depth {depth}"
+                f"word {word_texts} has length {len(word_texts)}, expected depth {depth}"
             )
-        for s in symbols:
-            if s not in relation.slopes:
-                raise FormatError(
-                    f"symbol {format_scalar(s)} is not a slope of the relation"
-                )
-        leg = build_leg(Word(symbols))
-        stored = parse_scalar(raw["t_max"])
+        symbols = []
+        for text in word_texts:
+            symbol = symbol_of.get(text) if type(text) is str else None
+            if symbol is None:
+                value = _parse_text(text, "symbol")
+                symbol = own_slope.get(value)
+                if symbol is None:
+                    raise FormatError(
+                        f"symbol {format_scalar(value)} is not a slope of the relation"
+                    )
+                symbol_of[text] = symbol
+            symbols.append(symbol)
+        leg = build_leg(Word(tuple(symbols)))
+        text = raw["t_max"]
+        stored = t_max_of.get(text) if type(text) is str else None
+        if stored is None:
+            stored = t_max_of[text] = _parse_text(text, "t_max")
         if stored != leg.t_max:
             raise FormatError(
-                f"stored t_max {raw['t_max']} disagrees with recomputed "
-                f"{format_scalar(leg.t_max)} for word {raw['word']}"
+                f"stored t_max {text} disagrees with recomputed "
+                f"{format_scalar(leg.t_max)} for word {word_texts}"
             )
         legs.append(leg)
     return FanApprox(relation, depth, tuple(legs))

@@ -70,12 +70,11 @@ def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]
             if not key:
                 pairs.append((leg, Fraction(1, 2)))
                 continue
-            x = Fraction(0)
-            scale = Fraction(1)
+            # Horner in integers: the digits of key as one base-`base` numeral.
+            num = 0
             for idx in key:
-                scale /= base
-                x += digits[idx] * scale
-            pairs.append((leg, x))
+                num = num * base + digits[idx]
+            pairs.append((leg, Fraction(num, base ** len(key))))
     elif angle_map == ANGLE_UNIFORM:
         count = len(ordered)
         for rank, (_, leg) in enumerate(ordered):

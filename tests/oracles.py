@@ -3,15 +3,21 @@
 These deliberately avoid the package's own code paths: factorization is
 re-derived by a plain trial-division loop, and the never-connect brute
 force compares exact integer powers directly, with no exponent-vector
-reasoning anywhere.
+reasoning anywhere. The leg enumeration reference is the one exception: it
+is the plain product-of-words loop over the public `build_leg`, against
+which the prefix-sharing enumerator is checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
+
+from lelekfan import Word, build_leg
 
 
 def trial_factor_int(n: int) -> dict[int, int]:
@@ -168,3 +174,37 @@ def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
                         best = d
             worst = max(worst, best)
     return worst
+
+
+def enumerate_legs_reference(relation, depth: int) -> tuple:
+    """Every word of the given depth in lexicographic slope order, each built from scratch."""
+    return tuple(
+        build_leg(Word(symbols))
+        for symbols in itertools.product(relation.slopes, repeat=depth)
+    )
+
+
+def cantor_angle_reference(word, slopes) -> Fraction:
+    """Cantor angle of a word as a per-digit Fraction sum, digit by digit.
+
+    Two slopes map to the middle-thirds digits 0 and 2 in base 3; n >= 3
+    slopes map to digits 0..n-1 in base max(3, n). The empty word sits at 1/2.
+    """
+    if not word:
+        return Fraction(1, 2)
+    n = len(slopes)
+    digits, base = ((0, 2), 3) if n == 2 else (tuple(range(n)), max(3, n))
+    x = Fraction(0)
+    for k, s in enumerate(word, start=1):
+        x += Fraction(digits[slopes.index(s)], base**k)
+    return x
+
+
+def deep_points_reference(slopes, depth: int, count: int, seed: int, t_denominator: int = 1024):
+    """(word, t) pairs in the documented draw order: a word's symbols, then its t."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        word = tuple(slopes[rng.randrange(len(slopes))] for _ in range(depth))
+        draws.append((word, Fraction(rng.randint(0, t_denominator), t_denominator)))
+    return draws

@@ -42,7 +42,7 @@ from lelekfan import (
     verify_embedding,
 )
 from lelekfan import analysis
-from oracles import best_climb_max_by_enumeration, hausdorff_max_min_exact
+from oracles import best_climb_max_by_enumeration, deep_points_reference, hausdorff_max_min_exact
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -213,6 +213,18 @@ def test_density_witness_short_budget_reports_approximate():
     assert cert.kind == APPROXIMATE
     assert cert.delta == 1 - max(e.coords)
     assert cert.delta > Fraction(1, 100)  # two steps cannot reach 0.99 from 2/5
+
+
+def test_sample_deep_points_draw_order():
+    # Each point draws its word's symbols first, then its parameter; the
+    # density and embed-check reports depend on this order.
+    for relation, depth in ((F, 12), (cantor_relation(R), 30), (F, 0)):
+        points = sample_deep_points(relation, depth, 30, seed=4)
+        expected = []
+        for word, fraction in deep_points_reference(relation.slopes, depth, 30, seed=4):
+            leg = build_leg(Word(word))
+            expected.append(leg_point(leg, leg.t_max * fraction))
+        assert points == expected
 
 
 def test_density_witness_random_points():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import enumerate_legs_reference
 
 from lelekfan import (
     DomainError,
@@ -32,11 +34,15 @@ from lelekfan import (
     save_fan,
     truncated_metric,
 )
+from lelekfan.cli import main
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
 F = fan_relation(R, RHO)
 G = cantor_relation(R)
+L = line_pair_relation(R, RHO)
+# four slopes, two below 1 and two above
+Q = RelationSpec((Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(5)))
 
 
 def test_relation_validation():
@@ -183,6 +189,31 @@ def test_subset_monotonicity():
         assert f_by_word[leg.word.symbols] == leg
 
 
+@pytest.mark.parametrize("name", ["F", "G", "L", "Q"])
+def test_enumerate_matches_reference(name):
+    relation = {"F": F, "G": G, "L": L, "Q": Q}[name]
+    for depth in range(7):
+        legs = enumerate_legs(relation, depth).legs
+        reference = enumerate_legs_reference(relation, depth)
+        assert len(legs) == len(reference) == len(relation.slopes) ** depth
+        for leg, ref in zip(legs, reference):
+            assert leg.word == ref.word
+            assert leg.prefix_products == ref.prefix_products
+            assert leg.t_max == ref.t_max
+        assert legs == reference
+
+
+def test_word_converts_only_non_fraction_symbols():
+    mixed = Word((1, Fraction(1, 2)))
+    exact = Word((Fraction(1), Fraction(1, 2)))
+    assert [type(s) for s in mixed.symbols] == [Fraction, Fraction]
+    assert mixed == exact and hash(mixed) == hash(exact)
+    assert Word([Fraction(1, 2)]).symbols == (Fraction(1, 2),)
+    # a tuple of Fractions is stored as given
+    symbols = (Fraction(1, 2), Fraction(3))
+    assert Word(symbols).symbols is symbols
+
+
 def test_sample_legs_deterministic():
     a = sample_legs(F, 40, 100, seed=7)
     b = sample_legs(F, 40, 100, seed=7)
@@ -300,3 +331,57 @@ def test_leg_file_verification_errors(tmp_path):
     bad.write_text("not json")
     with pytest.raises(FormatError):
         load_fan(bad)
+
+
+def test_fan_to_dict_writes_a_foreign_symbol():
+    leg = build_leg(Word((Fraction(1, 2), Fraction(7, 5))))
+    data = fan_to_dict(FanApprox(F, 2, (leg,)))
+    assert data["legs"] == [{"word": ["1/2", "7/5"], "t_max": "1"}]
+
+
+def _malformed(case: str) -> dict:
+    data = fan_to_dict(enumerate_legs(F, 1))
+    leg = data["legs"][0]
+    if case == "no-t_max":
+        del leg["t_max"]
+    elif case == "no-word":
+        del leg["word"]
+    elif case == "int-symbol":
+        leg["word"] = [3]
+    elif case == "leg-not-object":
+        data["legs"][0] = "x"
+    elif case == "depth-not-integer":
+        data["depth"] = "a"
+    elif case == "word-is-string":
+        leg["word"] = "3"
+    elif case == "slopes-not-strings":
+        data["relation"]["slopes"] = [1, 2]
+    elif case == "legs-not-list":
+        data["legs"] = {"0": leg}
+    return data
+
+
+MALFORMED = [
+    "no-t_max",
+    "no-word",
+    "int-symbol",
+    "leg-not-object",
+    "depth-not-integer",
+    "word-is-string",
+    "slopes-not-strings",
+    "legs-not-list",
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_leg_file_is_format_error(case):
+    with pytest.raises(FormatError, match="malformed leg file"):
+        fan_from_dict(_malformed(case))
+
+
+def test_malformed_leg_file_exits_3(tmp_path, capsys):
+    for case in MALFORMED:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(_malformed(case)))
+        assert main(["endpoints", "--in", str(path)]) == 3, case
+        assert "malformed leg file" in capsys.readouterr().err, case

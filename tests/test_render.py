@@ -6,17 +6,20 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from oracles import cantor_angle_reference
 
 from lelekfan import (
     ANGLE_CANTOR,
     ANGLE_UNIFORM,
     DomainError,
+    FanApprox,
     RenderConfig,
     angle_fractions,
     cantor_relation,
     enumerate_legs,
     fan_relation,
     render_fan,
+    sample_legs,
 )
 
 F = fan_relation(Fraction(1, 2), Fraction(3))
@@ -43,6 +46,18 @@ def test_angle_injectivity_both_maps():
     for angle_map in (ANGLE_CANTOR, ANGLE_UNIFORM):
         values = [x for _, x in angle_fractions(fan, angle_map)]
         assert len(set(values)) == len(values) == 3**5
+
+
+@pytest.mark.parametrize("name", ["F", "G"])
+def test_cantor_angles_match_digit_sum(name):
+    relation = {"F": F, "G": G}[name]
+    fans = [enumerate_legs(relation, depth) for depth in range(1, 9)]
+    fans.append(FanApprox(relation, 60, sample_legs(relation, 60, 50, seed=5)))
+    for fan in fans:
+        pairs = angle_fractions(fan, ANGLE_CANTOR)
+        assert len(pairs) == len({leg.word for leg in fan.legs})
+        for leg, x in pairs:
+            assert x == cantor_angle_reference(leg.word.symbols, relation.slopes)
 
 
 def test_render_is_deterministic():
