@@ -98,19 +98,25 @@ def greedy_sequence(
     partials: list[Fraction] = []
     current = x
     running = x
+    if stop_when is not None and running >= stop_when:
+        steps = 0
     for _ in range(steps):
-        if stop_when is not None and running >= stop_when:
-            break
         up = current * rho
-        if up <= 1:
+        # Denominators are positive, so up <= 1 is an integer comparison.
+        if up.numerator <= up.denominator:
             symbols.append(rho)
+            partials.append(up)
             current = up
+            # r < 1 (require_nc), so only a rho-step can raise the running max,
+            # and only then can it reach stop_when.
+            if current > running:
+                running = current
+                if stop_when is not None and running >= stop_when:
+                    break
         else:
             symbols.append(r)
             current = current * r
-        partials.append(current)
-        if current > running:
-            running = current
+            partials.append(current)
     return GreedyTrace(x, tuple(symbols), tuple(partials), running)
 
 
@@ -141,7 +147,7 @@ def oracle_best_sequence(
             return
         for s in (rho, r):
             nxt = current * s
-            if nxt <= 1:
+            if nxt.numerator <= nxt.denominator:
                 sym_path.append(s)
                 part_path.append(nxt)
                 visit(nxt, current_max if current_max >= nxt else nxt)
@@ -164,7 +170,7 @@ def classify_endpoint(point: PointPrefix, delta) -> EndpointCertificate | NotEnd
     coords = point.coords
     peak = max(coords)
     peak_index = coords.index(peak)
-    if peak == 1:
+    if peak.numerator == peak.denominator:
         return EndpointCertificate(EXACT, point, peak_index, peak, Fraction(0))
     if peak >= 1 - delta:
         return EndpointCertificate(APPROXIMATE, point, peak_index, peak, 1 - peak)

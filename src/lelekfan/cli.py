@@ -1,10 +1,11 @@
 """Command-line entry point: fan <subcommand>.
 
 Exit codes: 0 success, 1 verification failure (report still emitted),
-2 never-connect failure, 3 precondition/domain error, 4 budget exceeded,
-64 usage error. All outputs are deterministic for a fixed argv (seeds
-included); FAN_THREADS, when set, caps internal parallelism without
-changing any observable output (the current implementation is sequential).
+2 never-connect failure, 3 precondition/domain error (unreadable or
+unwritable files included), 4 budget exceeded, 64 usage error. All
+outputs are deterministic for a fixed argv (seeds included); FAN_THREADS,
+when set, caps internal parallelism without changing any observable
+output (the current implementation is sequential).
 """
 
 from __future__ import annotations
@@ -96,10 +97,11 @@ def _thread_cap() -> int | None:
 
 def _emit(data: dict, path: str | None = None) -> None:
     text = json.dumps(data, indent=2) + "\n"
-    sys.stdout.write(text)
+    # The report file first: when it cannot be written, stdout stays empty.
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    sys.stdout.write(text)
 
 
 def _relation(kind: str, config: GlobalConfig) -> mahavier.RelationSpec:
@@ -414,6 +416,9 @@ def main(argv=None) -> int:
         print(f"fan: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except FanError as exc:  # any future subclass defaults to the precondition bucket
+        print(f"fan: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
         print(f"fan: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

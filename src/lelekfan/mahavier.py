@@ -68,6 +68,13 @@ def line_pair_relation(r, rho) -> RelationSpec:
     return RelationSpec((Fraction(r), Fraction(rho)))
 
 
+def _fraction_tuple(values) -> tuple[Fraction, ...]:
+    """`values` itself when it is a tuple of exact Fractions, else a converted copy."""
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
+    return tuple(Fraction(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Word:
     """Finite sequence of slopes indexing one leg.
@@ -80,9 +87,7 @@ class Word:
     symbols: tuple[Fraction, ...]
 
     def __post_init__(self):
-        symbols = self.symbols
-        if type(symbols) is not tuple or any(type(s) is not Fraction for s in symbols):
-            object.__setattr__(self, "symbols", tuple(Fraction(s) for s in symbols))
+        object.__setattr__(self, "symbols", _fraction_tuple(self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -107,14 +112,21 @@ class Leg:
 
 @dataclass(frozen=True)
 class PointPrefix:
-    """Finite coordinate tuple (x_0, ..., x_n) with every entry in [0, 1]."""
+    """Finite coordinate tuple (x_0, ..., x_n) with every entry in [0, 1].
+
+    Coordinates are converted to a tuple of Fractions unless they already
+    are one (a tuple whose items are all exactly of type Fraction), the same
+    rule as `Word`, so points built from exact products are stored as given.
+    """
 
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-        for c in self.coords:
-            if not 0 <= c <= 1:
+        coords = _fraction_tuple(self.coords)
+        object.__setattr__(self, "coords", coords)
+        # Denominators are positive, so 0 <= c <= 1 is 0 <= p <= q for c = p/q.
+        for c in coords:
+            if not 0 <= c.numerator <= c.denominator:
                 raise DomainError(f"coordinate {format_scalar(c)} outside [0, 1]")
 
     def __len__(self) -> int:
@@ -374,6 +386,6 @@ def load_fan(path) -> FanApprox:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"not valid JSON: {path}: {exc}") from exc
     return fan_from_dict(data)

@@ -37,34 +37,43 @@ class NcVerdict:
         }
 
 
+_INDEPENDENT = NcVerdict(True)
+
+
 def check_nc(r: Fraction, rho: Fraction) -> NcVerdict:
     """Decide exactly whether (r, rho) never connect.
 
-    Raises PreconditionError when the pair is outside 0 < r < 1 < rho; a
-    wrong range is a different failure from multiplicative dependence and
-    is never reported as is_nc=False.
+    `r` and `rho` are converted with `Fraction(...)` unless they already are
+    exactly of type Fraction (ints, strings, floats and Fraction subclasses
+    are converted), so the range tests below compare integers in lowest
+    terms. Raises PreconditionError when the pair is outside
+    0 < r < 1 < rho; a wrong range is a different failure from
+    multiplicative dependence and is never reported as is_nc=False.
     """
-    r = Fraction(r)
-    rho = Fraction(rho)
-    if not 0 < r < 1:
+    if type(r) is not Fraction:
+        r = Fraction(r)
+    if type(rho) is not Fraction:
+        rho = Fraction(rho)
+    # Denominators are positive, so 0 < r < 1 is 0 < p < q for r = p/q.
+    if not 0 < r.numerator < r.denominator:
         raise PreconditionError(
             f"never-connect requires 0 < r < 1, got r = {format_scalar(r)}"
         )
-    if not rho > 1:
+    if not rho.numerator > rho.denominator:
         raise PreconditionError(
             f"never-connect requires rho > 1, got rho = {format_scalar(rho)}"
         )
     exp_r = factor(r)
     exp_rho = factor(rho)
-    if set(exp_r) != set(exp_rho):
-        return NcVerdict(True)
+    if exp_r.keys() != exp_rho.keys():
+        return _INDEPENDENT
     ratio = None  # common value of exp_r[p] / exp_rho[p] when the vectors are parallel
     for p, e in exp_r.items():
         this = Fraction(e, exp_rho[p])
         if ratio is None:
             ratio = this
         elif this != ratio:
-            return NcVerdict(True)
+            return _INDEPENDENT
     # Parallel vectors: k*exp_r = l*exp_rho forces l/k = ratio, so the minimal
     # witness with k > 0 is the reduced (denominator, numerator) pair.
     k, l = ratio.denominator, ratio.numerator

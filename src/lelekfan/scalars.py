@@ -6,13 +6,18 @@ are exact; floats appear only at the rendering and distance-enclosure
 boundary, derived from exact values at the last step.
 
 Wire format: rationals serialize as "p/q", or just "p" when q == 1, in all
-JSON payloads and CLI arguments.
+JSON payloads and CLI arguments. Integers of any size are read and written
+through `decimal.Decimal`, whose conversions to and from `int` are exact and
+have no digit limit; `int(text)` and `str(n)` refuse more than
+`sys.get_int_max_str_digits()` digits (4300 by default since Python 3.11
+and 3.10.7).
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, FormatError, ResourceError
@@ -24,13 +29,18 @@ DEFAULT_PRIME_BOUND = 10**6
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+def _digits(n: int) -> str:
+    # The same text as str(n), for integers of any size.
+    return str(Decimal(n))
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a "p/q" or "p" literal into an exact rational."""
     m = _SCALAR_RE.match(text.strip())
     if m is None:
         raise FormatError(f"not a rational literal: {text!r} (expected p or p/q)")
-    numerator = int(m.group(1))
-    denominator = int(m.group(2)) if m.group(2) else 1
+    numerator = int(Decimal(m.group(1)))
+    denominator = int(Decimal(m.group(2))) if m.group(2) else 1
     if denominator == 0:
         raise FormatError(f"zero denominator: {text!r}")
     return Fraction(numerator, denominator)
@@ -40,8 +50,8 @@ def format_scalar(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def _trial_division(n: int, prime_bound: int) -> dict[int, int]:
@@ -70,10 +80,11 @@ def factor(q: Fraction, prime_bound: int = DEFAULT_PRIME_BOUND) -> dict[int, int
     rational 1. Numerator and denominator are coprime, so their prime
     supports never overlap.
     """
-    q = Fraction(q)
-    if q <= 0:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if q.numerator <= 0:
         raise DomainError(f"factor requires a positive rational, got {format_scalar(q)}")
-    exponents = dict(_trial_division(q.numerator, prime_bound))
+    exponents = _trial_division(q.numerator, prime_bound)
     for p, e in _trial_division(q.denominator, prime_bound).items():
         exponents[p] = -e
     return exponents

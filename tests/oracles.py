@@ -119,6 +119,30 @@ def nc_screen_grid(r_values, rho_values, bound: int = 64, threshold: float = 1e-
     return flagged
 
 
+def greedy_reference(x: Fraction, r: Fraction, rho: Fraction, steps: int, stop_when=None):
+    """The greedy climb as a plain loop: (symbols, partials, running max).
+
+    Every comparison is a Fraction comparison, and the stop test and the
+    running max are checked on every step, whichever symbol it took.
+    """
+    symbols, partials = [], []
+    current = running = x
+    for _ in range(steps):
+        if stop_when is not None and running >= stop_when:
+            break
+        up = current * rho
+        if up <= 1:
+            symbols.append(rho)
+            current = up
+        else:
+            symbols.append(r)
+            current = current * r
+        partials.append(current)
+        if current > running:
+            running = current
+    return tuple(symbols), tuple(partials), running
+
+
 def best_climb_max_by_enumeration(x: Fraction, r: Fraction, rho: Fraction, steps: int) -> Fraction:
     """Max running maximum over all valid {r, rho} words, by literal enumeration."""
     best = x

@@ -29,12 +29,14 @@ from lelekfan import (
     directed_hausdorff,
     enumerate_legs,
     fan_relation,
+    format_scalar,
     greedy_sequence,
     hausdorff,
     leg_point,
     line_pair_relation,
     membership,
     oracle_best_sequence,
+    parse_scalar,
     sample_deep_points,
     sample_points,
     sample_resolution,
@@ -42,7 +44,12 @@ from lelekfan import (
     verify_embedding,
 )
 from lelekfan import analysis
-from oracles import best_climb_max_by_enumeration, deep_points_reference, hausdorff_max_min_exact
+from oracles import (
+    best_climb_max_by_enumeration,
+    deep_points_reference,
+    greedy_reference,
+    hausdorff_max_min_exact,
+)
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -92,6 +99,36 @@ def test_greedy_stop_when_halts_early():
     trace = greedy_sequence(Fraction(2, 5), R, RHO, 10**4, stop_when=Fraction(9, 10))
     assert trace.running_max >= Fraction(9, 10)
     assert len(trace.symbols) == 4
+
+
+@pytest.mark.parametrize(
+    "r, rho", [(R, RHO), (Fraction(5, 7), Fraction(11, 4))], ids=["1/2,3", "5/7,11/4"]
+)
+def test_greedy_matches_reference(r, rho):
+    rng = random.Random(23)
+    starts = []
+    for _ in range(200):
+        den = rng.randint(2, 10**4)
+        starts.append(Fraction(rng.randint(1, den - 1), den))
+    stop = Fraction(99, 100)
+    cases = [(x, 80, None) for x in starts] + [(x, 400, stop) for x in starts]
+    # a start already at stop_when takes no step; so does steps = 0
+    cases += [(stop, 50, stop), (Fraction(995, 1000), 50, stop), (Fraction(2, 5), 0, None)]
+    for x, steps, stop_when in cases:
+        trace = greedy_sequence(x, r, rho, steps, stop_when=stop_when)
+        assert (trace.symbols, trace.partials, trace.running_max) == greedy_reference(
+            x, r, rho, steps, stop_when
+        ), (x, steps, stop_when)
+    assert greedy_sequence(stop, r, rho, 50, stop_when=stop).symbols == ()
+
+
+def test_greedy_past_the_digit_limit_formats_exactly():
+    # Within the 10^4 step budget the partials pass 4300 digits, the default
+    # limit of str(int), on each side of the fraction bar.
+    trace = greedy_sequence(Fraction(1, 7), Fraction(1, 10), Fraction(11), 10**4)
+    assert trace.partials[-1].numerator > 10**5_000
+    for q in (trace.running_max, trace.partials[-1]):
+        assert parse_scalar(format_scalar(q)) == q
 
 
 def test_oracle_examples():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from lelekfan import load_fan
+from lelekfan import greedy_sequence, load_fan, parse_scalar
 from lelekfan.cli import main
 
 
@@ -217,6 +218,71 @@ def test_render_missing_file_is_precondition_exit(capsys, tmp_path):
     legs = tmp_path / "legs.json"
     legs.write_text("{}")
     assert main(["render", "--in", str(legs), "--out", str(tmp_path / "x.svg")]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endpoints", "--in", "{tmp}/missing.json"],
+        ["render", "--in", "{tmp}/missing.json", "--out", "{tmp}/x.svg"],
+        ["build", "--depth", "1", "--out", "{tmp}/no_such_dir/x.json"],
+        ["endpoints", "--relation", "G", "--depth", "2", "--report", "{tmp}/no_such_dir/r.json"],
+    ],
+    ids=["endpoints-in", "render-in", "build-out", "endpoints-report"],
+)
+def test_unreadable_or_unwritable_file_exits_3(capsys, tmp_path, argv):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("fan: ") and captured.err.count("\n") == 1
+    assert "No such file or directory" in captured.err
+    assert captured.out == ""
+
+
+def test_check_nc_past_the_digit_limit(capsys):
+    code, data = run(capsys, "check-nc", "--r", "1/1" + "0" * 5000)
+    assert code == 0
+    assert data == {"is_nc": True, "witness": None}
+
+
+def test_endpoints_reads_a_t_max_past_the_digit_limit(capsys, tmp_path):
+    big = "1" + "0" * 5000
+    path = tmp_path / "legs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "relation": {"slopes": ["1/2", "1", big]},
+                "depth": 1,
+                "legs": [{"word": [big], "t_max": "1/" + big}],
+            }
+        )
+    )
+    code, data = run(capsys, "endpoints", "--in", str(path))
+    assert code == 0
+    assert data["legs"] == [
+        {
+            "word": [big],
+            "t_max": "1/" + big,
+            "kind": "exact",
+            "peak_index": 1,
+            "peak_value": "1",
+            "degenerating": True,
+        }
+    ]
+
+
+def test_greedy_prints_partials_past_the_digit_limit(capsys):
+    # Each step multiplies by 2^-2000 or 3^1000, so by step 20 the partials
+    # have more than 4300 digits.
+    r, rho = Fraction(1, 2**2000), Fraction(3**1000)
+    code, data = run(
+        capsys, "greedy", "--x", "1/7", "--r", f"1/{2**2000}", "--rho", str(3**1000), "--steps", "20"
+    )
+    assert code == 0
+    trace = greedy_sequence(Fraction(1, 7), r, rho, 20)
+    assert [parse_scalar(p) for p in data["partials"]] == list(trace.partials)
+    assert parse_scalar(data["running_max"]) == trace.running_max
+    assert max(len(p) for p in data["partials"]) > 2 * 4300
 
 
 def test_fan_threads_validation(capsys, monkeypatch):

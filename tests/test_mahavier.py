@@ -78,6 +78,25 @@ def test_point_prefix_bounds():
         PointPrefix((Fraction(3, 2),))
     with pytest.raises(DomainError):
         PointPrefix((Fraction(-1, 2),))
+    assert PointPrefix((Fraction(0), Fraction(1))).coords == (0, 1)
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass: converted like any other non-Fraction input."""
+
+
+def test_point_prefix_converts_only_non_fraction_coords():
+    point = PointPrefix([0, "1/2", 1, Fraction(1, 3)])
+    assert point.coords == (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    assert type(point.coords) is tuple
+    assert all(type(c) is Fraction for c in point.coords)
+    assert [type(c) for c in PointPrefix((_Tagged(1, 2),)).coords] == [Fraction]
+    # a tuple of Fractions is stored as given
+    coords = (Fraction(1, 4), Fraction(3, 4))
+    assert PointPrefix(coords).coords is coords
+    for bad in ([Fraction(-1, 2)], ["3/2"], [2], (_Tagged(3, 2),), (_Tagged(-1, 3),)):
+        with pytest.raises(DomainError, match="outside"):
+            PointPrefix(bad)
 
 
 def test_build_leg_examples():
@@ -330,6 +349,9 @@ def test_leg_file_verification_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     with pytest.raises(FormatError):
+        load_fan(bad)
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    with pytest.raises(FormatError, match="not valid JSON"):
         load_fan(bad)
 
 

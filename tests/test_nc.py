@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lelekfan import NcViolation, PreconditionError, check_nc, power, require_nc
+from lelekfan import NcVerdict, NcViolation, PreconditionError, check_nc, power, require_nc
 from oracles import nc_brute_witness, nc_merge_witness
 
 
@@ -77,6 +77,25 @@ def test_preconditions_name_the_violated_clause():
         check_nc(Fraction(0), Fraction(3))
     with pytest.raises(PreconditionError, match="0 < r < 1"):
         check_nc(Fraction(1), Fraction(3))
+
+
+@pytest.mark.parametrize(
+    "r, rho", [("1/2", 3), (0.5, "3"), (Fraction(1, 2), 3.0)], ids=["str-int", "float-str", "fraction-float"]
+)
+def test_check_nc_converts_any_rational_input(r, rho):
+    assert check_nc(r, rho) == NcVerdict(True)
+    assert check_nc(r, "9/3") == check_nc(Fraction(1, 2), Fraction(3))
+
+
+def test_check_nc_non_fraction_input_keeps_witness_and_errors():
+    assert check_nc("1/4", 2.0).witness == (1, -2)
+    assert check_nc(0.25, "8").witness == (3, -2)
+    for r in (0, 1, -1, "0", 1.0, "-1/2", "3/2"):
+        with pytest.raises(PreconditionError, match="0 < r < 1"):
+            check_nc(r, 3)
+    for rho in (1, "1", 1.0, -3, "-3", "2/3", 0):
+        with pytest.raises(PreconditionError, match="rho > 1"):
+            check_nc("1/2", rho)
 
 
 def test_require_nc_raises_with_witness():

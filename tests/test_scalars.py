@@ -33,6 +33,27 @@ def test_parse_rejects_non_rational_literals(bad):
         parse_scalar(bad)
 
 
+def test_scalars_past_the_int_str_digit_limit():
+    # 10^4 digits each side; str(int) and int(str) refuse more than 4300 by default
+    numerator, denominator = "9" * 10_000, "1" + "0" * 9_998 + "3"
+    q = Fraction(10**10_000 - 1, 10**9_999 + 3)
+    assert format_scalar(q) == f"{numerator}/{denominator}"
+    assert format_scalar(-q) == f"-{numerator}/{denominator}"
+    assert format_scalar(q.numerator) == numerator
+    for x in (q, -q, Fraction(q.numerator), 1 / q):
+        assert parse_scalar(format_scalar(x)) == x
+    assert parse_scalar("1/1" + "0" * 5_000) == Fraction(1, 10**5_000)
+
+
+def test_format_scalar_matches_str_under_the_limit():
+    rng = random.Random(5)
+    for _ in range(300):
+        q = Fraction(rng.randint(-(10**60), 10**60), rng.randint(1, 10**rng.randint(1, 60)))
+        expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        assert format_scalar(q) == expected
+        assert parse_scalar(expected) == q
+
+
 def test_factor_examples():
     assert factor(Fraction(1)) == {}
     assert factor(Fraction(4, 9)) == {2: 2, 3: -2}
@@ -58,6 +79,16 @@ def test_factor_domain_and_bound_errors():
         factor(Fraction(-4, 9))
     with pytest.raises(ResourceError):
         factor(Fraction(1_000_003), prime_bound=10**3)  # 1000003 is prime
+
+
+def test_factor_converts_any_rational_input():
+    assert factor(12) == {2: 2, 3: 1}
+    assert factor("4/9") == {2: 2, 3: -2}
+    assert factor(0.25) == {2: -2}
+    assert factor(1) == factor("1") == factor(1.0) == {}
+    for bad in (0, -4, "0", "-4/9", 0.0, -0.5):
+        with pytest.raises(DomainError, match="positive rational"):
+            factor(bad)
 
 
 def test_power_examples():
