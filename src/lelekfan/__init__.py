@@ -18,6 +18,7 @@ from .analysis import (
     NotEndpointVerdict,
     canonical_endpoint_extension,
     classify_endpoint,
+    density_sweep,
     density_witness,
     directed_hausdorff,
     greedy_sequence,

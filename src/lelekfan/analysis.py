@@ -283,6 +283,8 @@ def sample_deep_points(
     relation: RelationSpec, depth: int, count: int, seed: int, t_denominator: int = 1024
 ) -> list[PointPrefix]:
     """Deterministic depth-n point sample for depths where enumeration is infeasible."""
+    if depth < 0:
+        raise DomainError("depth must be non-negative")
     rng = random.Random(seed)
     points = []
     for _ in range(count):
@@ -290,6 +292,33 @@ def sample_deep_points(
         t = leg.t_max * rng.randint(0, t_denominator) / t_denominator
         points.append(leg_point(leg, t))
     return points
+
+
+def density_sweep(
+    points, epsilon, r, rho, budget: int, delta
+) -> tuple[list[dict], Fraction, Fraction]:
+    """A density witness for every point: (failures, max_bound, worst_delta).
+
+    A point fails when its witness bound exceeds epsilon or its certificate
+    misses delta; each failure is reported as formatted `point`, `bound`
+    and `achieved_delta`, in the order of `points`.
+    """
+    failures = []
+    max_bound = Fraction(0)
+    worst_delta = Fraction(0)
+    for point in points:
+        _, bound, cert = density_witness(point, epsilon, r, rho, budget, delta)
+        max_bound = max(max_bound, bound)
+        worst_delta = max(worst_delta, cert.delta)
+        if bound > epsilon or cert.delta > delta:
+            failures.append(
+                {
+                    "point": [format_scalar(c) for c in point.coords],
+                    "bound": format_scalar(bound),
+                    "achieved_delta": format_scalar(cert.delta),
+                }
+            )
+    return failures, max_bound, worst_delta
 
 
 def _leg_arrays(fan: FanApprox):
@@ -329,85 +358,55 @@ def _candidate_distances(pts, pts_w, dirs, dirs_w, caps):
     """Distance from each sample to each leg at each candidate parameter.
 
     `pts` and `pts_w` (the samples, plain and weighted) are (samples, coords);
-    `dirs`, `dirs_w` (legs, coords) and `caps` (legs) carry a leading axis
-    that broadcasts against the samples: 1 for all legs against every sample,
-    or one leg per sample. Returns (samples, legs, candidates).
+    `dirs`, `dirs_w` (legs, coords) and `caps` (legs) describe the legs.
+    Returns (samples, legs, candidates).
     """
     # Candidate parameters: per-coordinate breakpoints clipped to the leg,
     # plus both endpoints.
     cand = pts[:, None, :] / dirs
-    np.minimum(cand, caps[..., None], out=cand)
+    np.minimum(cand, caps[:, None], out=cand)
     np.maximum(cand, 0.0, out=cand)
-    ends = np.broadcast_to(caps[..., None], cand.shape[:2] + (1,))
+    ends = np.broadcast_to(caps[:, None], cand.shape[:2] + (1,))
     cand = np.concatenate([cand, np.zeros(ends.shape), ends], axis=2)
     # Accumulate coordinate by coordinate to keep temporaries at
     # (samples, legs, candidates) size.
     dist = np.zeros(cand.shape)
     for k in range(pts.shape[1]):
-        dist += np.abs(pts_w[:, None, None, k] - cand * dirs_w[..., None, k])
+        dist += np.abs(pts_w[:, None, None, k] - cand * dirs_w[:, None, k])
     return dist
 
 
-def _nearest_leg(pts, pts_w, dirs_b, dirs_bw, caps_b):
-    """Per sample: the min distance over all of b's legs, and the leg attaining it."""
+def _min_distances(pts, pts_w, dirs_b, dirs_bw, caps_b):
+    """Per sample: the min distance over all of b's legs."""
     mins = np.empty(pts.shape[0])
-    nearest = np.empty(pts.shape[0], dtype=np.intp)
     chunk = max(1, int(2**21 // (dirs_b.shape[0] * (pts.shape[1] + 2) + 1)))
     for lo in range(0, pts.shape[0], chunk):
         hi = lo + chunk
-        per_leg = _candidate_distances(
-            pts[lo:hi], pts_w[lo:hi], dirs_b[None], dirs_bw[None], caps_b[None]
-        ).min(axis=2)
-        nearest[lo:hi] = per_leg.argmin(axis=1)
-        mins[lo:hi] = per_leg.min(axis=1)
-    return mins, nearest
-
-
-def _one_leg_bound(pts, pts_w, dirs, dirs_w, caps):
-    """Per sample: the min distance to its own leg (row i of dirs, dirs_w, caps)."""
-    bound = np.empty(pts.shape[0])
-    chunk = max(1, int(2**21 // (pts.shape[1] + 3)))
-    for lo in range(0, pts.shape[0], chunk):
-        hi = lo + chunk
-        bound[lo:hi] = _candidate_distances(
-            pts[lo:hi], pts_w[lo:hi], dirs[lo:hi, None], dirs_w[lo:hi, None], caps[lo:hi, None]
+        mins[lo:hi] = _candidate_distances(
+            pts[lo:hi], pts_w[lo:hi], dirs_b, dirs_bw, caps_b
         ).min(axis=(1, 2))
-    return bound
+    return mins
 
 
 def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Enclosure of sup over a's points of the distance to b, in the truncated metric.
 
-    Points are sampled on a's legs at grid+1 evenly spaced parameters
-    (endpoints included). The distance from a fixed point to one leg of b is
-    a convex piecewise-linear function of the leg parameter, minimized at a
-    breakpoint x_k / P_k or at an endpoint, so the inner minimization is
-    evaluated without grid error; only a's own sampling contributes, and the
-    upper bound adds half of a's grid spacing as Lipschitz padding.
+    The sup is attained at the far ends of a's legs. Fans are star-shaped
+    from the origin, so d(lam*x) <= lam*d(x) for 0 <= lam <= 1, where d is
+    the distance to b: the point lam*s*v of the b-leg nearest to x stays on
+    that leg, and |lam*x - lam*s*v| = lam*|x - s*v|. Each leg's far end
+    (t = t_max) is therefore measured against all of b, and nothing else.
+    The distance from a fixed point to one leg of b is a convex
+    piecewise-linear function of the leg parameter, minimized at a
+    breakpoint x_k / P_k or at an endpoint, so it is evaluated without grid
+    error. A leg of a that equals a leg of b is at distance exactly 0 and
+    is skipped; when every leg is shared the result is (0.0, padding).
 
-    A leg of a that equals a leg of b is at distance exactly 0 from b, so
-    only the unshared legs are sampled; when every leg is shared the result
-    is (0.0, padding) without sampling. The padding still covers all of a's
-    legs. The result is bit-identical to sampling every leg: a shared leg's
-    float distance is already exactly 0.0 (its own parameter is a candidate
-    and the metric weights are powers of two, so both sides round alike),
-    and the max over the remaining samples uses the same arithmetic.
-
-    Each unshared leg's far end (t = t_max) is measured against all of b
-    first, and the max of those distances starts the running max. Fans are
-    star-shaped from the origin, so d(lam*x) <= lam*d(x) for 0 <= lam <= 1,
-    where d is the distance to b: the point lam*s*v of the b-leg nearest to
-    x stays on that leg, and |lam*x - lam*s*v| = lam*|x - s*v|. Every other
-    sample of a leg is therefore measured first against the far end's
-    nearest b-leg only. That value bounds the sample's min over b from
-    above, so a sample whose bound is at most the running max cannot raise
-    it. A sample whose bound exceeds the running max (rounding could allow
-    it; none has been seen) falls back to the full min over b and raises
-    the running max if it can. The result is bit-identical to
-    measuring every sample against every leg of b, by construction: each
-    (sample, b-leg) distance comes from the same elementwise float
-    operations in either pass, so a skipped sample's float min is at most
-    its float bound, which is at most the float running max.
+    `grid` sets only the padding: the upper bound adds half of a's
+    grid spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
+    lower bound equals the max over grid+1 samples of every leg of a
+    measured against every leg of b; in floats the two agree bit for bit on
+    every fan the tests compare.
     """
     if a.depth != b.depth:
         raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
@@ -422,30 +421,12 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     unshared = tuple(leg for leg in a.legs if b_by_word.get(leg.word.symbols) != leg)
     if not unshared:
         return 0.0, padding
-    a = FanApprox(a.relation, a.depth, unshared)
     weights = _metric_weights(a.depth)
     dirs_b, caps_b = _leg_arrays(b)
-    dirs_a, caps_a = _leg_arrays(a)
+    dirs_a, caps_a = _leg_arrays(FanApprox(a.relation, a.depth, unshared))
     # Weights fold into the data: sum_k w_k |a_k - s v_k| = sum_k |w_k a_k - s w_k v_k|.
-    dirs_bw = dirs_b * weights[None, :]
-
-    steps = np.arange(grid + 1) / grid
-    # All sample points of a: (legs, grid+1, depth+1); the last sample of
-    # each leg is its far end.
-    points = (caps_a[:, None] * steps[None, :])[:, :, None] * dirs_a[:, None, :]
-    points_w = points * weights
-
-    far, nearest = _nearest_leg(points[:, -1], points_w[:, -1], dirs_b, dirs_bw, caps_b)
-    worst = float(far.max())
-
-    inner = points[:, :-1].reshape(-1, a.depth + 1)
-    inner_w = points_w[:, :-1].reshape(-1, a.depth + 1)
-    near = np.repeat(nearest, grid)
-    bound = _one_leg_bound(inner, inner_w, dirs_b[near], dirs_bw[near], caps_b[near])
-    survivors = bound > worst
-    if survivors.any():
-        rest, _ = _nearest_leg(inner[survivors], inner_w[survivors], dirs_b, dirs_bw, caps_b)
-        worst = max(worst, float(rest.max()))
+    far = caps_a[:, None] * dirs_a
+    worst = float(_min_distances(far, far * weights, dirs_b, dirs_b * weights, caps_b).max())
     return worst, worst + padding
 
 
@@ -549,23 +530,12 @@ def verify_embedding(
     schedule = _feasible_epsilons(epsilons, depth)
     for eps in schedule:
         eps = Fraction(eps)
-        failure = None
-        for point in points:
-            _, bound, cert = density_witness(
-                point, eps, r, rho, extension_budget, delta
-            )
-            if bound > eps or cert.delta > delta:
-                failure = {
-                    "point": [format_scalar(c) for c in point.coords],
-                    "bound": format_scalar(bound),
-                    "achieved_delta": format_scalar(cert.delta),
-                }
-                break
+        failures, _, _ = density_sweep(points, eps, r, rho, extension_budget, delta)
         checks.append(
             {
                 "name": f"density-epsilon-{format_scalar(eps)}",
-                "pass": failure is None,
-                "counterexample": failure,
+                "pass": not failures,
+                "counterexample": failures[0] if failures else None,
             }
         )
 

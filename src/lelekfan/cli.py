@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification failure (report still emitted),
 2 never-connect failure, 3 precondition/domain error (unreadable or
 unwritable files included), 4 budget exceeded, 64 usage error. All
-outputs are deterministic for a fixed argv (seeds included); FAN_THREADS,
-when set, caps internal parallelism without changing any observable
-output (the current implementation is sequential).
+outputs are deterministic for a fixed argv (seeds included). FAN_THREADS,
+when set, must be a positive integer (else exit 3); it caps nothing, since
+the implementation is sequential.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, mahavier, render
-from .errors import (
-    DomainError,
-    FanError,
-    FormatError,
-    NcViolation,
-    PreconditionError,
-    RangeError,
-    ResourceError,
-    ShapeError,
-)
+from .errors import DomainError, FanError, FormatError, NcViolation, ResourceError
 from .nc import check_nc, require_nc
 from .scalars import format_scalar, parse_scalar
 
@@ -51,16 +42,15 @@ class GlobalConfig:
     seed: int = 0
     enum_budget: int = mahavier.DEFAULT_ENUM_BUDGET
     greedy_budget: int = analysis.DEFAULT_GREEDY_BUDGET
-    threads: int | None = None
 
     @classmethod
     def from_args(cls, args) -> "GlobalConfig":
+        _thread_cap()
         config = cls(
             r=parse_scalar(getattr(args, "r", "1/2")),
             rho=parse_scalar(getattr(args, "rho", "3")),
             depth=getattr(args, "depth", 6),
             seed=getattr(args, "seed", 0),
-            threads=_thread_cap(),
         )
         # a subcommand's --budget overrides the slot it draws from
         budget = getattr(args, "budget", None)
@@ -82,17 +72,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _thread_cap() -> int | None:
+def _thread_cap() -> None:
+    """Validate FAN_THREADS; the implementation is sequential, so nothing reads it."""
     raw = os.environ.get("FAN_THREADS")
     if raw is None:
-        return None
+        return
     try:
         cap = int(raw)
     except ValueError as exc:
         raise FormatError(f"FAN_THREADS must be an integer, got {raw!r}") from exc
     if cap < 1:
         raise FormatError(f"FAN_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _emit(data: dict, path: str | None = None) -> None:
@@ -226,23 +216,9 @@ def cmd_density(args, config: GlobalConfig) -> int:
     delta = parse_scalar(args.delta)
     relation = mahavier.fan_relation(config.r, config.rho)
     points = analysis.sample_deep_points(relation, config.depth, args.samples, config.seed)
-    failures = []
-    max_bound = Fraction(0)
-    worst_delta = Fraction(0)
-    for point in points:
-        _, bound, cert = analysis.density_witness(
-            point, epsilon, config.r, config.rho, config.greedy_budget, delta
-        )
-        max_bound = max(max_bound, bound)
-        worst_delta = max(worst_delta, cert.delta)
-        if bound > epsilon or cert.delta > delta:
-            failures.append(
-                {
-                    "point": [format_scalar(c) for c in point.coords],
-                    "bound": format_scalar(bound),
-                    "achieved_delta": format_scalar(cert.delta),
-                }
-            )
+    failures, max_bound, worst_delta = analysis.density_sweep(
+        points, epsilon, config.r, config.rho, config.greedy_budget, delta
+    )
     report = {
         "r": format_scalar(config.r),
         "rho": format_scalar(config.rho),
@@ -403,7 +379,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # threads cap is validated here; the implementation is sequential either way
         config = GlobalConfig.from_args(args)
         return args.func(args, config)
     except NcViolation as exc:
@@ -412,13 +387,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"fan: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (PreconditionError, DomainError, RangeError, ShapeError, FormatError) as exc:
-        print(f"fan: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FanError as exc:  # any future subclass defaults to the precondition bucket
-        print(f"fan: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
+    except (FanError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"fan: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -232,3 +232,39 @@ def deep_points_reference(slopes, depth: int, count: int, seed: int, t_denominat
         word = tuple(slopes[rng.randrange(len(slopes))] for _ in range(depth))
         draws.append((word, Fraction(rng.randint(0, t_denominator), t_denominator)))
     return draws
+
+
+def hausdorff_all_samples_float(a, b, grid: int) -> tuple[float, float]:
+    """Float enclosure from every grid sample of every a-leg against every b-leg.
+
+    No leg is skipped and no sample is pruned. The arithmetic is the plain
+    grid kernel's: a-leg i is sampled at (t_max * j / grid) * (1, P_1, ...),
+    weighted by 2^-(k+1); candidate parameters x_k / P_k are clipped to
+    [0, cap] and joined by 0 and cap; the distance is accumulated
+    coordinate by coordinate as |w_k x_k - s * (w_k P_k)|. The upper bound
+    adds half of a's Lipschitz grid spacing.
+    """
+
+    def arrays(fan):
+        dirs = np.array([[1.0] + [float(p) for p in leg.prefix_products] for leg in fan.legs])
+        return dirs, np.array([float(leg.t_max) for leg in fan.legs])
+
+    weights = np.array([2.0 ** -(k + 1) for k in range(a.depth + 1)])
+    dirs_a, caps_a = arrays(a)
+    dirs_b, caps_b = arrays(b)
+    dirs_bw = dirs_b * weights
+    steps = np.arange(grid + 1) / grid
+    worst = 0.0
+    for dir_a, cap_a in zip(dirs_a, caps_a):
+        # This leg's samples x (samples, coords) against b: (samples, b-legs, candidates).
+        x = (cap_a * steps)[:, None] * dir_a
+        x_w = x * weights
+        cand = np.clip(x[:, None, :] / dirs_b, 0.0, caps_b[:, None])
+        ends = np.broadcast_to(caps_b[:, None], cand.shape[:2] + (1,))
+        cand = np.concatenate([cand, np.zeros(ends.shape), ends], axis=2)
+        dist = np.zeros(cand.shape)
+        for k in range(a.depth + 1):
+            dist += np.abs(x_w[:, k, None, None] - cand * dirs_bw[:, k, None])
+        worst = max(worst, float(dist.min(axis=(1, 2)).max()))
+    resolution = float(np.max((dirs_a @ weights) * caps_a / grid))
+    return worst, worst + 0.5 * resolution

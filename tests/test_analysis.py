@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from lelekfan import (
@@ -25,6 +24,7 @@ from lelekfan import (
     cantor_relation,
     canonical_endpoint_extension,
     classify_endpoint,
+    density_sweep,
     density_witness,
     directed_hausdorff,
     enumerate_legs,
@@ -48,6 +48,7 @@ from oracles import (
     best_climb_max_by_enumeration,
     deep_points_reference,
     greedy_reference,
+    hausdorff_all_samples_float,
     hausdorff_max_min_exact,
 )
 
@@ -264,6 +265,46 @@ def test_sample_deep_points_draw_order():
         assert points == expected
 
 
+def test_sample_deep_points_negative_depth_is_domain_error():
+    with pytest.raises(DomainError, match="depth must be non-negative"):
+        sample_deep_points(F, -2, 2, 1)
+
+
+def test_density_sweep_reports_every_failure():
+    points = sample_deep_points(F, 12, 10, seed=5)
+    epsilon, delta = Fraction(1, 16), Fraction(1, 100)
+    failures, max_bound, worst_delta = density_sweep(points, epsilon, R, RHO, 200, delta)
+    expected, bounds, deltas = [], [], []
+    for point in points:
+        _, bound, cert = density_witness(point, epsilon, R, RHO, 200, delta)
+        bounds.append(bound)
+        deltas.append(cert.delta)
+        if cert.delta > delta:
+            expected.append(
+                {
+                    "point": [format_scalar(c) for c in point.coords],
+                    "bound": format_scalar(bound),
+                    "achieved_delta": format_scalar(cert.delta),
+                }
+            )
+    assert 1 < len(failures) < len(points)
+    assert failures == expected
+    assert max_bound == max(bounds) <= epsilon
+    assert worst_delta == max(deltas) == max(parse_scalar(f["achieved_delta"]) for f in failures)
+    assert density_sweep(points, epsilon, R, RHO, 10**4, delta)[0] == []
+
+
+def test_verify_embedding_reports_first_density_failure():
+    report = verify_embedding(R, RHO, depth=5, samples=20, seed=7, extension_budget=2)
+    points = sample_points(enumerate_legs(F, 5), 20, 7)
+    density = [c for c in report["checks"] if c["name"].startswith("density-epsilon-")]
+    assert not report["pass"]
+    for check, eps in zip(density, (Fraction(1, 16), Fraction(1, 64))):
+        failures, _, _ = density_sweep(points, eps, R, RHO, 2, Fraction(1, 100))
+        assert not check["pass"]
+        assert check["counterexample"] == failures[0]
+
+
 def test_density_witness_random_points():
     points = sample_deep_points(F, 20, 40, seed=11)
     for x in points:
@@ -459,13 +500,13 @@ def _far_ends(legs):
 def _record_full_path(monkeypatch):
     # Record the sample rows that go through the all-of-b helper.
     seen = []
-    nearest_leg = analysis._nearest_leg
+    min_distances = analysis._min_distances
 
     def recording(pts, *rest):
         seen.append(pts.tolist())
-        return nearest_leg(pts, *rest)
+        return min_distances(pts, *rest)
 
-    monkeypatch.setattr(analysis, "_nearest_leg", recording)
+    monkeypatch.setattr(analysis, "_min_distances", recording)
     return seen
 
 
@@ -483,24 +524,40 @@ def test_hausdorff_only_far_ends_reach_full_min(monkeypatch):
         assert lower > 0.0, name
 
 
-def test_hausdorff_fallback_matches_pruned(monkeypatch):
-    # A bound of +inf prunes nothing: every interior sample takes the full
-    # min over b, and the result must not change by a single bit.
-    pairs = _crossed_pairs(4)
-    grid = 8
-    pruned = {name: directed_hausdorff(a, b, grid) for name, (a, b) in pairs.items()}
-    pruned_both = hausdorff(*pairs["G to L"], grid)
-    seen = _record_full_path(monkeypatch)
-    monkeypatch.setattr(
-        analysis, "_one_leg_bound", lambda pts, *rest: np.full(pts.shape[0], np.inf)
-    )
-    for name, (a, b) in pairs.items():
-        seen.clear()
-        assert directed_hausdorff(a, b, grid) == pruned[name], name
-        b_legs = set(b.legs)
-        unshared = sum(leg not in b_legs for leg in a.legs)
-        assert [len(rows) for rows in seen] == [unshared, unshared * grid], name
-    assert hausdorff(*pairs["G to L"], grid) == pruned_both
+def _reference_fans(depth: int):
+    f_fan = enumerate_legs(F, depth)
+    legs = list(f_fan.legs)
+    random.Random(depth).shuffle(legs)
+    return {
+        "F": f_fan,
+        "G": enumerate_legs(cantor_relation(R), depth),
+        "L": enumerate_legs(line_pair_relation(R, RHO), depth),
+        "H1": FanApprox(F, depth, tuple(legs[: len(legs) // 2])),
+        "H2": FanApprox(F, depth, tuple(legs[len(legs) // 2 :])),
+    }
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_hausdorff_matches_all_samples_reference(depth):
+    # Far ends only against every grid sample of every leg, in float.hex.
+    # Depth 5 keeps the crossed pairs and their reverses, to bound run time.
+    fans = _reference_fans(depth)
+    if depth < 5:
+        names = [(a, b) for a in fans for b in fans]
+    else:
+        names = [("F", "L"), ("L", "F"), ("G", "L"), ("L", "G"), ("F", "G"), ("G", "F"), ("H1", "H2"), ("H2", "H1")]
+    for grid in (1, 3, 8, 16):
+        reference = {(a, b): hausdorff_all_samples_float(fans[a], fans[b], grid) for a, b in names}
+        for (a, b), expected in reference.items():
+            got = directed_hausdorff(fans[a], fans[b], grid)
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (a, b, grid)
+            if (b, a) in reference:
+                back = reference[(b, a)]
+                both = hausdorff(fans[a], fans[b], grid)
+                assert [x.hex() for x in both] == [
+                    max(expected[0], back[0]).hex(),
+                    max(expected[1], back[1]).hex(),
+                ], (a, b, grid)
 
 
 def test_far_ends_attain_exact_max_min():
