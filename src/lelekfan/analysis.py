@@ -299,9 +299,10 @@ def density_sweep(
 ) -> tuple[list[dict], Fraction, Fraction]:
     """A density witness for every point: (failures, max_bound, worst_delta).
 
-    A point fails when its witness bound exceeds epsilon or its certificate
-    misses delta; each failure is reported as formatted `point`, `bound`
-    and `achieved_delta`, in the order of `points`.
+    A point fails when its certificate misses delta; each failure is
+    reported as formatted `point`, `bound` and `achieved_delta`, in the
+    order of `points`. A witness bound over epsilon is not a failure but a
+    DomainError from density_witness, which ends the sweep.
     """
     failures = []
     max_bound = Fraction(0)
@@ -310,7 +311,7 @@ def density_sweep(
         _, bound, cert = density_witness(point, epsilon, r, rho, budget, delta)
         max_bound = max(max_bound, bound)
         worst_delta = max(worst_delta, cert.delta)
-        if bound > epsilon or cert.delta > delta:
+        if cert.delta > delta:
             failures.append(
                 {
                     "point": [format_scalar(c) for c in point.coords],
@@ -354,37 +355,62 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
     return float(np.max((dirs @ weights) * caps / grid))
 
 
-def _candidate_distances(pts, pts_w, dirs, dirs_w, caps):
-    """Distance from each sample to each leg at each candidate parameter.
-
-    `pts` and `pts_w` (the samples, plain and weighted) are (samples, coords);
-    `dirs`, `dirs_w` (legs, coords) and `caps` (legs) describe the legs.
-    Returns (samples, legs, candidates).
-    """
-    # Candidate parameters: per-coordinate breakpoints clipped to the leg,
-    # plus both endpoints.
-    cand = pts[:, None, :] / dirs
-    np.minimum(cand, caps[:, None], out=cand)
-    np.maximum(cand, 0.0, out=cand)
-    ends = np.broadcast_to(caps[:, None], cand.shape[:2] + (1,))
-    cand = np.concatenate([cand, np.zeros(ends.shape), ends], axis=2)
-    # Accumulate coordinate by coordinate to keep temporaries at
-    # (samples, legs, candidates) size.
-    dist = np.zeros(cand.shape)
-    for k in range(pts.shape[1]):
-        dist += np.abs(pts_w[:, None, None, k] - cand * dirs_w[:, None, k])
-    return dist
+# Elements per kernel work array: three of them fit in a 2 MiB L2 cache.
+_TILE = 2**15
 
 
 def _min_distances(pts, pts_w, dirs_b, dirs_bw, caps_b):
-    """Per sample: the min distance over all of b's legs."""
-    mins = np.empty(pts.shape[0])
-    chunk = max(1, int(2**21 // (dirs_b.shape[0] * (pts.shape[1] + 2) + 1)))
-    for lo in range(0, pts.shape[0], chunk):
-        hi = lo + chunk
-        mins[lo:hi] = _candidate_distances(
-            pts[lo:hi], pts_w[lo:hi], dirs_b, dirs_bw, caps_b
-        ).min(axis=(1, 2))
+    """Per far end: the min distance over all of b's legs.
+
+    `pts` and `pts_w` (the far ends, plain and weighted) are (points, coords);
+    `dirs_b`, `dirs_bw` (legs, coords) and `caps_b` (legs) describe b's legs.
+    The distance to one leg is minimized at a candidate parameter: a
+    per-coordinate breakpoint clipped to the leg, the cap, or 0.
+
+    Parameter 0 is the origin on every leg, so its distance, sum_k |w_k a_k|,
+    is summed once per far end and seeds the running mins. The other
+    candidates go through tiles that cut both the far ends and b's legs,
+    each at most _TILE elements per work array (one point by one leg when a
+    single leg's candidates exceed it). Three work arrays (candidates, term
+    and sum) are allocated once per call and every tile writes into views of
+    them, so memory is bounded by the tile, not by the fans.
+
+    The floats are those of the untiled evaluation: each candidate's distance
+    is summed in the same coordinate order from 0.0, the origin's terms are
+    |w_k a_k - 0.0 * w_k v_k| = |w_k a_k| exactly, and min does not round.
+    """
+    n_pts, n_coords = pts.shape
+    n_legs = dirs_b.shape[0]
+    n_cand = n_coords + 1
+    legs_per_tile = min(n_legs, max(1, _TILE // n_cand))
+    pts_per_tile = min(n_pts, max(1, _TILE // (legs_per_tile * n_cand)))
+    size = pts_per_tile * legs_per_tile * n_cand
+    cand_buf, term_buf, dist_buf = np.empty(size), np.empty(size), np.empty(size)
+    mins = np.zeros(n_pts)
+    for k in range(n_coords):
+        mins += np.abs(pts_w[:, k])
+    for p0 in range(0, n_pts, pts_per_tile):
+        p1 = min(p0 + pts_per_tile, n_pts)
+        for l0 in range(0, n_legs, legs_per_tile):
+            l1 = min(l0 + legs_per_tile, n_legs)
+            shape = (p1 - p0, l1 - l0, n_cand)
+            used = shape[0] * shape[1] * n_cand
+            cand = cand_buf[:used].reshape(shape)
+            term = term_buf[:used].reshape(shape)
+            dist = dist_buf[:used].reshape(shape)
+            caps = caps_b[l0:l1]
+            breaks = cand[:, :, :n_coords]
+            np.divide(pts[p0:p1, None, :], dirs_b[l0:l1], out=breaks)
+            np.minimum(breaks, caps[:, None], out=breaks)
+            np.maximum(breaks, 0.0, out=breaks)
+            cand[:, :, n_coords] = caps
+            dist.fill(0.0)
+            for k in range(n_coords):
+                np.multiply(cand, dirs_bw[l0:l1, None, k], out=term)
+                np.subtract(pts_w[p0:p1, None, None, k], term, out=term)
+                np.abs(term, out=term)
+                dist += term
+            np.minimum(mins[p0:p1], dist.min(axis=(1, 2)), out=mins[p0:p1])
     return mins
 
 
@@ -400,7 +426,9 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     piecewise-linear function of the leg parameter, minimized at a
     breakpoint x_k / P_k or at an endpoint, so it is evaluated without grid
     error. A leg of a that equals a leg of b is at distance exactly 0 and
-    is skipped; when every leg is shared the result is (0.0, padding).
+    is skipped; when every leg is shared the result is (0.0, padding). The
+    kernel works in fixed-size tiles, so its memory is bounded by the tile,
+    not by the size of either fan.
 
     `grid` sets only the padding: the upper bound adds half of a's
     grid spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the

@@ -294,6 +294,22 @@ def test_density_sweep_reports_every_failure():
     assert density_sweep(points, epsilon, R, RHO, 10**4, delta)[0] == []
 
 
+def test_density_sweep_over_epsilon_witness_is_domain_error(monkeypatch):
+    # An inflated metric value pushes every computed witness bound past
+    # epsilon: density_witness refuses it, and the sweep does not report it
+    # as a failure.
+    points = sample_deep_points(F, 12, 3, seed=5)
+    epsilon = Fraction(1, 16)
+
+    def inflated(p, q):
+        value, tail = truncated_metric(p, q)
+        return value + epsilon, tail
+
+    monkeypatch.setattr(analysis, "truncated_metric", inflated)
+    with pytest.raises(DomainError, match="exceeds epsilon"):
+        density_sweep(points, epsilon, R, RHO, 200, Fraction(1, 100))
+
+
 def test_verify_embedding_reports_first_density_failure():
     report = verify_embedding(R, RHO, depth=5, samples=20, seed=7, extension_budget=2)
     points = sample_points(enumerate_legs(F, 5), 20, 7)
@@ -558,6 +574,31 @@ def test_hausdorff_matches_all_samples_reference(depth):
                     max(expected[0], back[0]).hex(),
                     max(expected[1], back[1]).hex(),
                 ], (a, b, grid)
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_hausdorff_tiles_do_not_change_floats(monkeypatch, depth):
+    # Tiles of 1, 7 and 50 elements cut b's legs into several tiles, the
+    # last one short; 300 holds all of L's legs at depths 3 and 4 and cuts
+    # the far ends instead, again with a short last tile.
+    fans = _reference_fans(depth)
+    names = [("F", "L"), ("G", "L"), ("F", "G")]
+    grid = 8
+    directed, both = {}, {}
+    for a, b in names:
+        ab = hausdorff_all_samples_float(fans[a], fans[b], grid)
+        ba = hausdorff_all_samples_float(fans[b], fans[a], grid)
+        directed[(a, b)] = [v.hex() for v in ab]
+        directed[(b, a)] = [v.hex() for v in ba]
+        both[(a, b)] = [max(ab[0], ba[0]).hex(), max(ab[1], ba[1]).hex()]
+    for tile in (analysis._TILE, 1, 7, 50, 300):
+        monkeypatch.setattr(analysis, "_TILE", tile)
+        for (x, y), expected in directed.items():
+            got = directed_hausdorff(fans[x], fans[y], grid)
+            assert [v.hex() for v in got] == expected, (x, y, tile)
+        for (a, b), expected in both.items():
+            got = hausdorff(fans[a], fans[b], grid)
+            assert [v.hex() for v in got] == expected, (a, b, tile)
 
 
 def test_far_ends_attain_exact_max_min():
