@@ -177,7 +177,7 @@ def build_leg(word: Word) -> Leg:
     products = []
     acc = peak = Fraction(1)
     for s in word.symbols:
-        if s <= 0:
+        if s.numerator <= 0:
             raise DomainError(f"word symbols must be positive, got {format_scalar(s)}")
         acc = acc * s
         products.append(acc)
@@ -277,16 +277,39 @@ def is_degenerating(leg: Leg, threshold: Fraction = DEGENERACY_THRESHOLD) -> boo
     return leg.t_max < threshold
 
 
+def _symbol_values(relation: RelationSpec, values, missing):
+    """A function mapping a word's symbols to the values paired with the relation's slopes.
+
+    `values[i]` belongs to `relation.slopes[i]`. The relation's own slope
+    objects are found by `id`, which skips Fraction's uncached hash; a
+    symbol equal to a slope but a distinct object (a hand-built leg) is
+    found by value, and any other symbol `s` maps to `missing(s)`.
+    """
+    # by_value holds the slope objects themselves, so their ids stay valid.
+    by_value = dict(zip(relation.slopes, values))
+    by_id = {id(s): v for s, v in by_value.items()}
+
+    def by_equality(s):
+        v = by_value.get(s)
+        return missing(s) if v is None else v
+
+    def lookup(symbols) -> list:
+        get = by_id.get
+        return [v if (v := get(id(s))) is not None else by_equality(s) for s in symbols]
+
+    return lookup
+
+
 def word_formatter(relation: RelationSpec):
     """A function formatting a word's symbols, each relation slope formatted once.
 
     A symbol that is not a slope of the relation (a hand-built leg) is
     formatted on its own.
     """
-    texts = {s: format_scalar(s) for s in relation.slopes}
+    texts = _symbol_values(relation, [format_scalar(s) for s in relation.slopes], format_scalar)
 
     def format_word(word: Word) -> list[str]:
-        return [texts.get(s) or format_scalar(s) for s in word.symbols]
+        return texts(word.symbols)
 
     return format_word
 
@@ -322,7 +345,11 @@ def fan_from_dict(data: dict) -> FanApprox:
     Prefix products are recomputed from the stored words; a stored t_max
     that disagrees with the recomputed value is a FormatError, and so is
     any field of the wrong JSON type. Each distinct scalar text is parsed
-    and checked once per call.
+    and checked once per call. A leg reuses the prefix products and
+    running peaks of the leg before it for the symbols the two words
+    share (compared by identity: every symbol is the relation's own slope
+    object), so a file in `enumerate_legs` order costs about one Fraction
+    multiply per leg.
     """
     try:
         slope_texts = data["relation"]["slopes"]
@@ -338,6 +365,12 @@ def fan_from_dict(data: dict) -> FanApprox:
     own_slope = {s: s for s in relation.slopes}
     symbol_of: dict[str, Fraction] = {}  # word text -> the relation's own slope
     t_max_of: dict[str, Fraction] = {}
+    one = Fraction(1)
+    # The previous leg's symbols, prefix products and running peaks
+    # max(1, P_1, ..., P_k), one entry per symbol.
+    previous: list[Fraction] = []
+    products: list[Fraction] = []
+    peaks: list[Fraction] = []
     legs = []
     for raw in _list_field(raw_legs, "legs"):
         if type(raw) is not dict:
@@ -362,7 +395,22 @@ def fan_from_dict(data: dict) -> FanApprox:
                     )
                 symbol_of[text] = symbol
             symbols.append(symbol)
-        leg = build_leg(Word(tuple(symbols)))
+        shared = 0
+        for s, p in zip(symbols, previous):
+            if s is not p:
+                break
+            shared += 1
+        del products[shared:], peaks[shared:]
+        acc = products[-1] if shared else one
+        peak = peaks[-1] if shared else one
+        for s in symbols[shared:]:
+            acc = acc * s
+            if acc > peak:
+                peak = acc
+            products.append(acc)
+            peaks.append(peak)
+        previous = symbols
+        leg = Leg(Word(tuple(symbols)), tuple(products), _t_max(peak))
         text = raw["t_max"]
         stored = t_max_of.get(text) if type(text) is str else None
         if stored is None:
@@ -377,9 +425,10 @@ def fan_from_dict(data: dict) -> FanApprox:
 
 
 def save_fan(fan: FanApprox, path) -> None:
+    """Write a fan's JSON form, indented by 2, with a final newline."""
+    text = json.dumps(fan_to_dict(fan), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fan_to_dict(fan), handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def load_fan(path) -> FanApprox:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .mahavier import FanApprox, Leg
+from .mahavier import FanApprox, Leg, _symbol_values
+from .scalars import format_scalar
 
 ANGLE_CANTOR = "cantor"
 ANGLE_UNIFORM = "uniform"
@@ -37,8 +38,10 @@ class RenderConfig:
             raise DomainError(f"sweep must lie in (0, 180) degrees, got {self.sweep}")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):
             raise DomainError(f"unknown angle map: {self.angle_map!r}")
-        if self.stroke_width <= 0:
-            raise DomainError("stroke width must be positive")
+        if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
+            raise DomainError(
+                f"stroke width must be positive and finite, got {self.stroke_width}"
+            )
 
 
 def _digit_map(n_slopes: int) -> tuple[tuple[int, ...], int]:
@@ -48,20 +51,25 @@ def _digit_map(n_slopes: int) -> tuple[tuple[int, ...], int]:
     return tuple(range(n_slopes)), max(3, n_slopes)
 
 
+def _not_a_slope(symbol: Fraction):
+    raise DomainError(f"symbol {format_scalar(symbol)} is not a slope of the relation")
+
+
 def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]]:
     """Exact angular position in [0, 1] per distinct word, before any float conversion.
 
     Cantor mapping reads the word as base-`base` digits of a middle-thirds
     coordinate; uniform mapping spreads the sorted words evenly. Distinct
-    words receive distinct fractions under both maps.
+    words receive distinct fractions under both maps. A symbol that is not a
+    slope of the fan's relation is a DomainError.
     """
-    index = {s: i for i, s in enumerate(fan.relation.slopes)}
-    digits, base = _digit_map(len(fan.relation.slopes))
+    slopes = fan.relation.slopes
+    index = _symbol_values(fan.relation, range(len(slopes)), _not_a_slope)
+    digits, base = _digit_map(len(slopes))
 
     unique: dict[tuple, Leg] = {}
     for leg in fan.legs:
-        key = tuple(index[s] for s in leg.word.symbols)
-        unique.setdefault(key, leg)
+        unique.setdefault(tuple(index(leg.word.symbols)), leg)
     ordered = sorted(unique.items())
 
     pairs = []

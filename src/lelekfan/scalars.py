@@ -48,7 +48,8 @@ def parse_scalar(text: str) -> Fraction:
 
 def format_scalar(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return _digits(q.numerator)
     return f"{_digits(q.numerator)}/{_digits(q.denominator)}"

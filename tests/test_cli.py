@@ -214,6 +214,17 @@ def test_render_from_file(capsys, tmp_path):
     assert svg_a.read_text().count("<line ") == 16
 
 
+@pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
+def test_render_bad_stroke_width_exits_3(capsys, tmp_path, width):
+    legs = tmp_path / "legs.json"
+    svg = tmp_path / "x.svg"
+    main(["build", "--relation", "G", "--depth", "2", "--out", str(legs)])
+    capsys.readouterr()
+    assert main(["render", "--in", str(legs), "--out", str(svg), f"--stroke-width={width}"]) == 3
+    assert "stroke width" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_render_missing_file_is_precondition_exit(capsys, tmp_path):
     legs = tmp_path / "legs.json"
     legs.write_text("{}")

@@ -35,6 +35,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
+from lelekfan.mahavier import word_formatter
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -353,6 +354,96 @@ def test_leg_file_verification_errors(tmp_path):
     bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
     with pytest.raises(FormatError, match="not valid JSON"):
         load_fan(bad)
+
+
+def _leg_orders() -> dict:
+    """Legs of F in enumerated, shuffled, reversed and sampled order, and a depth-0 fan."""
+    legs = enumerate_legs(F, 4).legs
+    shuffled = list(legs)
+    random.Random(3).shuffle(shuffled)
+    return {
+        "enumerated": FanApprox(F, 4, legs),
+        "shuffled": FanApprox(F, 4, tuple(shuffled)),
+        "reversed": FanApprox(F, 4, legs[::-1]),
+        "sampled": FanApprox(F, 30, sample_legs(F, 30, 200, seed=4)),
+        "depth-0": enumerate_legs(F, 0),
+    }
+
+
+@pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])
+def test_save_fan_writes_one_indented_dump(tmp_path, order):
+    fan = _leg_orders()[order]
+    path = tmp_path / "legs.json"
+    save_fan(fan, path)
+    expected = json.dumps(fan_to_dict(fan), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])
+def test_loaded_legs_match_build_leg(order):
+    fan = _leg_orders()[order]
+    loaded = fan_from_dict(fan_to_dict(fan))
+    assert len(loaded.legs) == len(fan.legs)
+    for leg, original in zip(loaded.legs, fan.legs):
+        assert leg.word == original.word
+        assert leg == build_leg(Word(leg.word.symbols))
+        # every symbol is the loaded relation's own slope object
+        assert all(any(s is t for t in loaded.relation.slopes) for s in leg.word.symbols)
+
+
+def test_every_tampered_t_max_is_rejected():
+    # A stale t_max copied from the leg before must fail too, even when the
+    # two words share every symbol but the last.
+    legs = fan_to_dict(enumerate_legs(F, 2))["legs"]
+    for i, leg in enumerate(legs):
+        stale = legs[i - 1]["t_max"] if i else "1/7"
+        if stale == leg["t_max"]:
+            stale = "1/7"
+        data = fan_to_dict(enumerate_legs(F, 2))
+        data["legs"][i]["t_max"] = stale
+        message = (
+            f"stored t_max {stale} disagrees with recomputed {leg['t_max']} "
+            f"for word {leg['word']}"
+        )
+        with pytest.raises(FormatError) as info:
+            fan_from_dict(data)
+        assert str(info.value) == message
+
+
+def test_tampered_t_max_after_a_shared_prefix_keeps_its_error_order():
+    data = fan_to_dict(enumerate_legs(F, 3))
+    legs = data["legs"]
+    # (1, 1, 1) then (1, 1, 3): all but the last symbol shared, t_max 1 then 1/3
+    i = next(k for k, leg in enumerate(legs) if leg["word"] == ["1", "1", "3"])
+    assert legs[i - 1]["word"] == ["1", "1", "1"] and legs[i - 1]["t_max"] == "1"
+    legs[i]["t_max"] = "1"
+    legs[i + 1]["word"] = ["1", "1", "5"]  # a later error must not be reported first
+    with pytest.raises(FormatError) as info:
+        fan_from_dict(data)
+    assert str(info.value) == (
+        "stored t_max 1 disagrees with recomputed 1/3 for word ['1', '1', '3']"
+    )
+
+
+def test_word_formatter_finds_equal_but_distinct_symbols():
+    fan = enumerate_legs(Q, 3)
+    # the same legs, every symbol an equal but distinct Fraction object
+    copies = FanApprox(
+        Q,
+        3,
+        tuple(
+            build_leg(Word(tuple(Fraction(s.numerator, s.denominator) for s in leg.word.symbols)))
+            for leg in fan.legs
+        ),
+    )
+    assert all(
+        s is not t for a, b in zip(fan.legs, copies.legs)
+        for s, t in zip(a.word.symbols, b.word.symbols)
+    )
+    format_word = word_formatter(Q)
+    for leg, copy in zip(fan.legs, copies.legs):
+        assert format_word(copy.word) == format_word(leg.word)
+    assert fan_to_dict(copies) == fan_to_dict(fan)
 
 
 def test_fan_to_dict_writes_a_foreign_symbol():

@@ -14,7 +14,9 @@ from lelekfan import (
     DomainError,
     FanApprox,
     RenderConfig,
+    Word,
     angle_fractions,
+    build_leg,
     cantor_relation,
     enumerate_legs,
     fan_relation,
@@ -103,6 +105,37 @@ def test_config_validation():
         RenderConfig(width=0)
     with pytest.raises(DomainError):
         render_fan(enumerate_legs(F, 2), RenderConfig(stroke_width=-1.0))
+    for width in (float("nan"), float("inf"), float("-inf"), 0.0):
+        with pytest.raises(DomainError, match="stroke width"):
+            RenderConfig(stroke_width=width)
+
+
+def test_angles_find_equal_but_distinct_symbols():
+    fan = enumerate_legs(F, 4)
+    copies = FanApprox(
+        F,
+        4,
+        tuple(
+            build_leg(Word(tuple(Fraction(s.numerator, s.denominator) for s in leg.word.symbols)))
+            for leg in fan.legs
+        ),
+    )
+    assert copies.legs[0].word.symbols[0] is not F.slopes[0]
+    for angle_map in (ANGLE_CANTOR, ANGLE_UNIFORM):
+        expected = [(leg.word, x) for leg, x in angle_fractions(fan, angle_map)]
+        assert [(leg.word, x) for leg, x in angle_fractions(copies, angle_map)] == expected
+        config = RenderConfig(angle_map=angle_map)
+        assert render_fan(copies, config) == render_fan(fan, config)
+
+
+def test_foreign_symbol_is_domain_error():
+    leg = build_leg(Word((Fraction(1, 2), Fraction(5, 7))))
+    fan = FanApprox(F, 2, (leg,))
+    for angle_map in (ANGLE_CANTOR, ANGLE_UNIFORM):
+        with pytest.raises(DomainError, match="symbol 5/7 is not a slope"):
+            angle_fractions(fan, angle_map)
+    with pytest.raises(DomainError, match="symbol 5/7 is not a slope"):
+        render_fan(fan)
 
 
 def test_duplicate_sampled_legs_render_once():
