@@ -414,6 +414,19 @@ def _min_distances(pts, pts_w, dirs_b, dirs_bw, caps_b):
     return mins
 
 
+def _legs_missing_from(a: FanApprox, b: FanApprox):
+    """Legs of a that are not legs of b, in a's order.
+
+    Looked up by word (half the Fraction hashing of a whole leg) but matched
+    on the whole leg, so a hand-built leg whose products or cap disagree
+    with b's leg of the same word is missing from b.
+    """
+    b_by_word = {leg.word.symbols: leg for leg in b.legs}
+    for leg in a.legs:
+        if b_by_word.get(leg.word.symbols) != leg:
+            yield leg
+
+
 def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Enclosure of sup over a's points of the distance to b, in the truncated metric.
 
@@ -442,11 +455,7 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
         raise DomainError("grid must be a positive integer")
     _require_legs(a, b)
     padding = 0.5 * sample_resolution(a, grid)
-    # Looked up by word (half the Fraction hashing of a whole leg) but matched
-    # on the whole leg, so a hand-built leg whose products or cap disagree
-    # with b's leg of the same word still goes through the kernel.
-    b_by_word = {leg.word.symbols: leg for leg in b.legs}
-    unshared = tuple(leg for leg in a.legs if b_by_word.get(leg.word.symbols) != leg)
+    unshared = tuple(_legs_missing_from(a, b))
     if not unshared:
         return 0.0, padding
     weights = _metric_weights(a.depth)
@@ -501,11 +510,7 @@ def verify_embedding(
     fan_sub = enumerate_legs(sub, depth, budget)
     checks = []
 
-    full_by_word = {leg.word.symbols: leg for leg in fan_full.legs}
-    bad = next(
-        (leg for leg in fan_sub.legs if full_by_word.get(leg.word.symbols) != leg),
-        None,
-    )
+    bad = next(_legs_missing_from(fan_sub, fan_full), None)
     checks.append(
         {
             "name": "g-legs-are-f-legs",

@@ -3,22 +3,17 @@
 Exit codes: 0 success, 1 verification failure (report still emitted),
 2 never-connect failure, 3 precondition/domain error (unreadable or
 unwritable files included), 4 budget exceeded, 64 usage error. All
-outputs are deterministic for a fixed argv (seeds included). FAN_THREADS,
-when set, must be a positive integer (else exit 3); it caps nothing, since
-the implementation is sequential.
+outputs are deterministic for a fixed argv (seeds included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import analysis, mahavier, render
-from .errors import DomainError, FanError, FormatError, NcViolation, ResourceError
+from .errors import DomainError, FanError, NcViolation, ResourceError
 from .nc import check_nc, require_nc
 from .scalars import format_scalar, parse_scalar
 
@@ -32,57 +27,21 @@ EXIT_USAGE = 64
 RELATIONS = ("F", "G", "Lrr")
 
 
-@dataclass
-class GlobalConfig:
-    """Resolved run parameters: slopes, depth, seed and the search budgets."""
-
-    r: Fraction = Fraction(1, 2)
-    rho: Fraction = Fraction(3)
-    depth: int = 6
-    seed: int = 0
-    enum_budget: int = mahavier.DEFAULT_ENUM_BUDGET
-    greedy_budget: int = analysis.DEFAULT_GREEDY_BUDGET
-
-    @classmethod
-    def from_args(cls, args) -> "GlobalConfig":
-        _thread_cap()
-        config = cls(
-            r=parse_scalar(getattr(args, "r", "1/2")),
-            rho=parse_scalar(getattr(args, "rho", "3")),
-            depth=getattr(args, "depth", 6),
-            seed=getattr(args, "seed", 0),
-        )
-        # a subcommand's --budget overrides the slot it draws from
-        budget = getattr(args, "budget", None)
-        if budget is not None:
-            if args.command == "density":
-                config.greedy_budget = budget
-            else:
-                config.enum_budget = budget
-        if min(config.enum_budget, config.greedy_budget) < 1:
-            raise DomainError("budgets must be positive")
-        if config.depth < 0:
-            raise DomainError("depth must be non-negative")
-        return config
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _thread_cap() -> None:
-    """Validate FAN_THREADS; the implementation is sequential, so nothing reads it."""
-    raw = os.environ.get("FAN_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise FormatError(f"FAN_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise FormatError(f"FAN_THREADS must be >= 1, got {cap}")
+def _check_args(args) -> None:
+    """Parse --r and --rho where present; reject a budget below 1, then a negative depth."""
+    for name in ("r", "rho"):
+        if hasattr(args, name):
+            setattr(args, name, parse_scalar(getattr(args, name)))
+    if getattr(args, "budget", 1) < 1:
+        raise DomainError("budgets must be positive")
+    if getattr(args, "depth", 0) < 0:
+        raise DomainError("depth must be non-negative")
 
 
 def _emit(data: dict, path: str | None = None) -> None:
@@ -94,13 +53,13 @@ def _emit(data: dict, path: str | None = None) -> None:
     sys.stdout.write(text)
 
 
-def _relation(kind: str, config: GlobalConfig) -> mahavier.RelationSpec:
+def _relation(args, kind: str) -> mahavier.RelationSpec:
     if kind == "F":
-        require_nc(config.r, config.rho)  # fans of the full relation need an NC pair
-        return mahavier.fan_relation(config.r, config.rho)
+        require_nc(args.r, args.rho)  # fans of the full relation need an NC pair
+        return mahavier.fan_relation(args.r, args.rho)
     if kind == "G":
-        return mahavier.cantor_relation(config.r)
-    return mahavier.line_pair_relation(config.r, config.rho)
+        return mahavier.cantor_relation(args.r)
+    return mahavier.line_pair_relation(args.r, args.rho)
 
 
 def _require_count(name: str, count: int) -> None:
@@ -108,49 +67,49 @@ def _require_count(name: str, count: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {count}")
 
 
-def _build_fan(args, config: GlobalConfig, kind: str) -> mahavier.FanApprox:
-    relation = _relation(kind, config)
+def _build_fan(args, kind: str) -> mahavier.FanApprox:
+    relation = _relation(args, kind)
     if args.sample is not None:
         _require_count("--sample", args.sample)
-        legs = mahavier.sample_legs(relation, config.depth, args.sample, config.seed)
-        return mahavier.FanApprox(relation, config.depth, legs)
-    return mahavier.enumerate_legs(relation, config.depth, config.enum_budget)
+        legs = mahavier.sample_legs(relation, args.depth, args.sample, args.seed)
+        return mahavier.FanApprox(relation, args.depth, legs)
+    return mahavier.enumerate_legs(relation, args.depth, args.budget)
 
 
-def cmd_check_nc(args, config: GlobalConfig) -> int:
-    verdict = check_nc(config.r, config.rho)
+def cmd_check_nc(args) -> int:
+    verdict = check_nc(args.r, args.rho)
     _emit(verdict.to_json_dict())
     return EXIT_OK if verdict.is_nc else EXIT_NC
 
 
-def cmd_build(args, config: GlobalConfig) -> int:
-    fan = _build_fan(args, config, args.relation)
+def cmd_build(args) -> int:
+    fan = _build_fan(args, args.relation)
     mahavier.save_fan(fan, args.out)
     _emit(
         {
             "out": args.out,
             "relation": args.relation,
-            "depth": config.depth,
+            "depth": args.depth,
             "legs": len(fan.legs),
         }
     )
     return EXIT_OK
 
 
-def cmd_greedy(args, config: GlobalConfig) -> int:
+def cmd_greedy(args) -> int:
     _require_count("--steps", args.steps)
-    if args.steps > config.greedy_budget:
+    if args.steps > analysis.DEFAULT_GREEDY_BUDGET:
         raise ResourceError(
-            f"--steps {args.steps} exceeds the greedy budget {config.greedy_budget}"
+            f"--steps {args.steps} exceeds the greedy budget {analysis.DEFAULT_GREEDY_BUDGET}"
         )
     trace = analysis.greedy_sequence(
-        parse_scalar(args.x), config.r, config.rho, args.steps
+        parse_scalar(args.x), args.r, args.rho, args.steps
     )
     _emit(
         {
             "start": format_scalar(trace.start),
-            "r": format_scalar(config.r),
-            "rho": format_scalar(config.rho),
+            "r": format_scalar(args.r),
+            "rho": format_scalar(args.rho),
             "steps": len(trace.symbols),
             "symbols": [format_scalar(s) for s in trace.symbols],
             "partials": [format_scalar(p) for p in trace.partials],
@@ -160,11 +119,11 @@ def cmd_greedy(args, config: GlobalConfig) -> int:
     return EXIT_OK
 
 
-def cmd_endpoints(args, config: GlobalConfig) -> int:
+def cmd_endpoints(args) -> int:
     if args.infile:
         fan = mahavier.load_fan(args.infile)
     else:
-        fan = _build_fan(args, config, args.relation)
+        fan = _build_fan(args, args.relation)
     delta = parse_scalar(args.delta)
     threshold = parse_scalar(args.degeneracy_threshold)
     kinds = {"exact": 0, "approximate": 0, "not_certified": 0}
@@ -209,24 +168,24 @@ def cmd_endpoints(args, config: GlobalConfig) -> int:
     return EXIT_OK
 
 
-def cmd_density(args, config: GlobalConfig) -> int:
+def cmd_density(args) -> int:
     _require_count("--samples", args.samples)
-    require_nc(config.r, config.rho)
+    require_nc(args.r, args.rho)
     epsilon = parse_scalar(args.epsilon)
     delta = parse_scalar(args.delta)
-    relation = mahavier.fan_relation(config.r, config.rho)
-    points = analysis.sample_deep_points(relation, config.depth, args.samples, config.seed)
+    relation = mahavier.fan_relation(args.r, args.rho)
+    points = analysis.sample_deep_points(relation, args.depth, args.samples, args.seed)
     failures, max_bound, worst_delta = analysis.density_sweep(
-        points, epsilon, config.r, config.rho, config.greedy_budget, delta
+        points, epsilon, args.r, args.rho, args.budget, delta
     )
     report = {
-        "r": format_scalar(config.r),
-        "rho": format_scalar(config.rho),
-        "depth": config.depth,
+        "r": format_scalar(args.r),
+        "rho": format_scalar(args.rho),
+        "depth": args.depth,
         "epsilon": format_scalar(epsilon),
         "delta": format_scalar(delta),
         "samples": args.samples,
-        "seed": config.seed,
+        "seed": args.seed,
         "max_bound": format_scalar(max_bound),
         "worst_delta": format_scalar(worst_delta),
         "pass": not failures,
@@ -236,23 +195,23 @@ def cmd_density(args, config: GlobalConfig) -> int:
     return EXIT_OK if not failures else EXIT_VERIFICATION
 
 
-def cmd_embed_check(args, config: GlobalConfig) -> int:
+def cmd_embed_check(args) -> int:
     _require_count("--samples", args.samples)
     report = analysis.verify_embedding(
-        config.r,
-        config.rho,
-        config.depth,
+        args.r,
+        args.rho,
+        args.depth,
         args.samples,
-        config.seed,
-        budget=config.enum_budget,
+        args.seed,
+        budget=args.budget,
     )
     _emit(report, args.report)
     return EXIT_OK if report["pass"] else EXIT_VERIFICATION
 
 
-def cmd_hausdorff(args, config: GlobalConfig) -> int:
-    fan_a = _build_fan(args, config, args.a)
-    fan_b = _build_fan(args, config, args.b)
+def cmd_hausdorff(args) -> int:
+    fan_a = _build_fan(args, args.a)
+    fan_b = _build_fan(args, args.b)
     lower, upper = analysis.hausdorff(fan_a, fan_b, args.grid)
     resolution = max(
         analysis.sample_resolution(fan_a, args.grid),
@@ -262,7 +221,7 @@ def cmd_hausdorff(args, config: GlobalConfig) -> int:
         {
             "relation_a": args.a,
             "relation_b": args.b,
-            "depth": config.depth,
+            "depth": args.depth,
             "grid": args.grid,
             "lower": lower,
             "upper": upper,
@@ -272,7 +231,7 @@ def cmd_hausdorff(args, config: GlobalConfig) -> int:
     return EXIT_OK
 
 
-def cmd_render(args, config: GlobalConfig) -> int:
+def cmd_render(args) -> int:
     fan = mahavier.load_fan(args.infile)
     render_config = render.RenderConfig(
         width=args.width,
@@ -379,8 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = GlobalConfig.from_args(args)
-        return args.func(args, config)
+        _check_args(args)
+        return args.func(args)
     except NcViolation as exc:
         print(f"fan: never-connect failure: {exc}", file=sys.stderr)
         return EXIT_NC

@@ -17,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -172,18 +173,44 @@ def _t_max(peak: Fraction) -> Fraction:
     return 1 / peak if peak > 1 else Fraction(1)
 
 
+def _grow_legs(words):
+    """One Leg per symbol tuple of `words`, in the order given.
+
+    A word reuses the prefix products and running peaks max(1, P_1, ...,
+    P_k) of the word before it for the leading symbols the two share,
+    compared by identity, so words in lexicographic order over one slope
+    tuple cost about one Fraction multiply each. This is the only place
+    prefix products are multiplied.
+    """
+    one = Fraction(1)
+    previous = ()
+    products: list[Fraction] = []
+    peaks: list[Fraction] = []
+    for symbols in words:
+        shared = 0
+        for s, p in zip(symbols, previous):
+            if s is not p:
+                break
+            shared += 1
+        del products[shared:], peaks[shared:]
+        acc = products[-1] if shared else one
+        peak = peaks[-1] if shared else one
+        for s in symbols[shared:]:
+            acc = acc * s
+            if acc > peak:
+                peak = acc
+            products.append(acc)
+            peaks.append(peak)
+        previous = symbols
+        yield Leg(Word(symbols), tuple(products), _t_max(peak))
+
+
 def build_leg(word: Word) -> Leg:
     """Compute a word's prefix products and parameter cap exactly."""
-    products = []
-    acc = peak = Fraction(1)
     for s in word.symbols:
         if s.numerator <= 0:
             raise DomainError(f"word symbols must be positive, got {format_scalar(s)}")
-        acc = acc * s
-        products.append(acc)
-        if acc > peak:
-            peak = acc
-    return Leg(word, tuple(products), _t_max(peak))
+    return next(_grow_legs((word.symbols,)))
 
 
 def leg_point(leg: Leg, t) -> PointPrefix:
@@ -202,12 +229,13 @@ def enumerate_legs(
 ) -> FanApprox:
     """All legs of the given depth, one per word, in lexicographic slope order.
 
-    Words are grown breadth-first: each extends its parent's last prefix
-    product and running max, so a leg costs one Fraction multiply. Distinct
-    words give distinct legs: slopes are distinct and positive, so at the
-    first symbol where two words differ their prefix products differ too.
-    Raises ResourceError when |slopes|^depth exceeds the budget; use
-    sample_legs for such depths.
+    Words come from itertools.product over the slopes and share one
+    prefix-sharing walk with `fan_from_dict`: each word extends the
+    prefix products of the word before it, so a leg costs about one
+    Fraction multiply. Distinct words give distinct legs: slopes are
+    distinct and positive, so at the first symbol where two words differ
+    their prefix products differ too. Raises ResourceError when
+    |slopes|^depth exceeds the budget; use sample_legs for such depths.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
@@ -217,20 +245,8 @@ def enumerate_legs(
             f"{len(relation.slopes)}^{depth} = {total} legs exceeds the budget "
             f"{budget}; use sampling instead (sample_legs / --sample)"
         )
-    one = Fraction(1)
-    # (symbols, prefix products, last product, running max of 1 and the products)
-    level = [((), (), one, one)]
-    for _ in range(depth):
-        children = []
-        for symbols, products, last, peak in level:
-            for s in relation.slopes:
-                p = last * s
-                children.append((symbols + (s,), products + (p,), p, p if p > peak else peak))
-        level = children
-    legs = tuple(
-        Leg(Word(symbols), products, _t_max(peak)) for symbols, products, _, peak in level
-    )
-    return FanApprox(relation, depth, legs)
+    words = itertools.product(relation.slopes, repeat=depth)
+    return FanApprox(relation, depth, tuple(_grow_legs(words)))
 
 
 def draw_word(rng: random.Random, relation: RelationSpec, depth: int) -> Word:
@@ -345,11 +361,11 @@ def fan_from_dict(data: dict) -> FanApprox:
     Prefix products are recomputed from the stored words; a stored t_max
     that disagrees with the recomputed value is a FormatError, and so is
     any field of the wrong JSON type. Each distinct scalar text is parsed
-    and checked once per call. A leg reuses the prefix products and
-    running peaks of the leg before it for the symbols the two words
-    share (compared by identity: every symbol is the relation's own slope
-    object), so a file in `enumerate_legs` order costs about one Fraction
-    multiply per leg.
+    and checked once per call. Every symbol is the relation's own slope
+    object, so the legs are rebuilt by the prefix-sharing walk that
+    `enumerate_legs` uses, and a file in `enumerate_legs` order costs
+    about one Fraction multiply per leg. Legs are parsed, rebuilt and
+    checked one at a time, so the first error in file order is reported.
     """
     try:
         slope_texts = data["relation"]["slopes"]
@@ -365,14 +381,8 @@ def fan_from_dict(data: dict) -> FanApprox:
     own_slope = {s: s for s in relation.slopes}
     symbol_of: dict[str, Fraction] = {}  # word text -> the relation's own slope
     t_max_of: dict[str, Fraction] = {}
-    one = Fraction(1)
-    # The previous leg's symbols, prefix products and running peaks
-    # max(1, P_1, ..., P_k), one entry per symbol.
-    previous: list[Fraction] = []
-    products: list[Fraction] = []
-    peaks: list[Fraction] = []
-    legs = []
-    for raw in _list_field(raw_legs, "legs"):
+
+    def symbols_of(raw) -> tuple[Fraction, ...]:
         if type(raw) is not dict:
             raise FormatError(f"malformed leg file: leg {raw!r} is not an object")
         for key in ("word", "t_max"):
@@ -395,22 +405,13 @@ def fan_from_dict(data: dict) -> FanApprox:
                     )
                 symbol_of[text] = symbol
             symbols.append(symbol)
-        shared = 0
-        for s, p in zip(symbols, previous):
-            if s is not p:
-                break
-            shared += 1
-        del products[shared:], peaks[shared:]
-        acc = products[-1] if shared else one
-        peak = peaks[-1] if shared else one
-        for s in symbols[shared:]:
-            acc = acc * s
-            if acc > peak:
-                peak = acc
-            products.append(acc)
-            peaks.append(peak)
-        previous = symbols
-        leg = Leg(Word(tuple(symbols)), tuple(products), _t_max(peak))
+        return tuple(symbols)
+
+    raws = _list_field(raw_legs, "legs")
+    legs = []
+    # zip reads leg i from raws before the walk parses it, and the walk
+    # parses leg i + 1 only after leg i's t_max has been checked.
+    for raw, leg in zip(raws, _grow_legs(map(symbols_of, raws))):
         text = raw["t_max"]
         stored = t_max_of.get(text) if type(text) is str else None
         if stored is None:
@@ -418,7 +419,7 @@ def fan_from_dict(data: dict) -> FanApprox:
         if stored != leg.t_max:
             raise FormatError(
                 f"stored t_max {text} disagrees with recomputed "
-                f"{format_scalar(leg.t_max)} for word {word_texts}"
+                f"{format_scalar(leg.t_max)} for word {raw['word']}"
             )
         legs.append(leg)
     return FanApprox(relation, depth, tuple(legs))

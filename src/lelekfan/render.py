@@ -27,7 +27,6 @@ class RenderConfig:
     width: int = 800
     height: int = 600
     angle_map: str = ANGLE_CANTOR
-    apex: tuple[float, float] | None = None  # defaults to top-center
     sweep: float = 60.0  # degrees, inside (0, 180)
     stroke_width: float = 1.0
 
@@ -103,10 +102,10 @@ def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
         raise DomainError("cannot render an empty fan")
     width, height = config.width, config.height
     margin = 10.0
-    apex_x, apex_y = config.apex if config.apex is not None else (width / 2.0, margin + 10.0)
+    apex_x, apex_y = width / 2.0, margin + 10.0  # top-center
     half_sweep = math.radians(config.sweep) / 2.0
     vertical = height - apex_y - margin
-    horizontal = (min(apex_x, width - apex_x) - margin) / math.sin(half_sweep)
+    horizontal = (apex_x - margin) / math.sin(half_sweep)
     radius = max(min(vertical, horizontal), 1.0)
 
     parts = [

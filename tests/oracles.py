@@ -3,21 +3,21 @@
 These deliberately avoid the package's own code paths: factorization is
 re-derived by a plain trial-division loop, and the never-connect brute
 force compares exact integer powers directly, with no exponent-vector
-reasoning anywhere. The leg enumeration reference is the one exception: it
-is the plain product-of-words loop over the public `build_leg`, against
-which the prefix-sharing enumerator is checked.
+reasoning anywhere. Legs are rebuilt word by word with
+`itertools.accumulate`, sharing nothing with the prefix-sharing walk.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from lelekfan import Word, build_leg
+from lelekfan import Leg, Word
 
 
 def trial_factor_int(n: int) -> dict[int, int]:
@@ -200,11 +200,16 @@ def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
     return worst
 
 
+def leg_reference(symbols) -> Leg:
+    """One leg from scratch: P_k by itertools.accumulate, cap 1/max(1, P_1, ..., P_n)."""
+    products = tuple(itertools.accumulate(symbols, operator.mul))
+    return Leg(Word(tuple(symbols)), products, 1 / max((Fraction(1), *products)))
+
+
 def enumerate_legs_reference(relation, depth: int) -> tuple:
     """Every word of the given depth in lexicographic slope order, each built from scratch."""
     return tuple(
-        build_leg(Word(symbols))
-        for symbols in itertools.product(relation.slopes, repeat=depth)
+        leg_reference(symbols) for symbols in itertools.product(relation.slopes, repeat=depth)
     )
 
 

@@ -294,11 +294,3 @@ def test_greedy_prints_partials_past_the_digit_limit(capsys):
     assert [parse_scalar(p) for p in data["partials"]] == list(trace.partials)
     assert parse_scalar(data["running_max"]) == trace.running_max
     assert max(len(p) for p in data["partials"]) > 2 * 4300
-
-
-def test_fan_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FAN_THREADS", "8")
-    code, data = run(capsys, "check-nc", "--r", "1/2", "--rho", "3")
-    assert code == 0
-    monkeypatch.setenv("FAN_THREADS", "zero")
-    assert main(["check-nc", "--r", "1/2", "--rho", "3"]) == 3

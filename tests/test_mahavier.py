@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import enumerate_legs_reference
+from oracles import enumerate_legs_reference, leg_reference
 
 from lelekfan import (
     DomainError,
@@ -387,6 +387,7 @@ def test_loaded_legs_match_build_leg(order):
     for leg, original in zip(loaded.legs, fan.legs):
         assert leg.word == original.word
         assert leg == build_leg(Word(leg.word.symbols))
+        assert leg == leg_reference(leg.word.symbols)
         # every symbol is the loaded relation's own slope object
         assert all(any(s is t for t in loaded.relation.slopes) for s in leg.word.symbols)
 
