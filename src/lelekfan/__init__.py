@@ -9,6 +9,7 @@ resulting fans as SVG.
 
 from .analysis import (
     APPROXIMATE,
+    DEFAULT_DELTA,
     DEFAULT_GREEDY_BUDGET,
     DEFAULT_ORACLE_BUDGET,
     DENSITY_EPSILONS,
@@ -66,7 +67,6 @@ from .nc import NcVerdict, check_nc, require_nc
 from .render import ANGLE_CANTOR, ANGLE_UNIFORM, RenderConfig, angle_fractions, render_fan
 from .scalars import (
     DEFAULT_PRIME_BOUND,
-    Scalar,
     factor,
     format_scalar,
     parse_scalar,

@@ -29,6 +29,7 @@ from .mahavier import (
     fan_relation,
     leg_point,
     truncated_metric,
+    word_formatter,
     DEFAULT_ENUM_BUDGET,
 )
 from .nc import require_nc
@@ -37,6 +38,7 @@ from .scalars import format_scalar
 DEFAULT_GREEDY_BUDGET = 10**4
 DEFAULT_ORACLE_BUDGET = 20
 DEFAULT_GRID = 8
+DEFAULT_DELTA = Fraction(1, 100)
 DENSITY_EPSILONS = (Fraction(1, 16), Fraction(1, 64), Fraction(1, 256))
 
 EXACT = "exact"
@@ -120,20 +122,20 @@ def greedy_sequence(
     return GreedyTrace(x, tuple(symbols), tuple(partials), running)
 
 
-def oracle_best_sequence(
-    x, r, rho, steps: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> GreedyTrace:
+def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     """Exhaustive search over every {r, rho}-word of length <= steps whose partials stay in [0, 1].
 
     Returns a trace maximizing the running maximum (deterministically the
     first maximizer in rho-first preorder). Independent of the greedy rule;
-    exponential in steps, hence the budget.
+    exponential in steps, hence DEFAULT_ORACLE_BUDGET.
     """
     x, r, rho = Fraction(x), Fraction(r), Fraction(rho)
     if not 0 < x < 1:
         raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
-    if steps > budget:
-        raise ResourceError(f"steps = {steps} exceeds the oracle budget {budget}")
+    if steps < 0:
+        raise DomainError(f"steps must be non-negative, got {steps}")
+    if steps > DEFAULT_ORACLE_BUDGET:
+        raise ResourceError(f"steps = {steps} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
     best = {"symbols": (), "partials": (), "max": x}
     sym_path: list[Fraction] = []
     part_path: list[Fraction] = []
@@ -203,7 +205,7 @@ def density_witness(
     r,
     rho,
     extension_budget: int = DEFAULT_GREEDY_BUDGET,
-    delta: Fraction = Fraction(1, 100),
+    delta: Fraction = DEFAULT_DELTA,
 ) -> tuple[PointPrefix, Fraction, EndpointCertificate]:
     """Produce an endpoint-certified point within epsilon of x.
 
@@ -236,17 +238,14 @@ def density_witness(
             f"2^-{len(x.coords)}"
         )
     start = x.coords[k0 - 1]
-    target = 1 - delta
+    prefix = x.coords[:k0]
     if start == 0:
         # All-zero point (a zero coordinate forces zeros everywhere).
         seed = epsilon / (1 << (k0 + 2))
         if seed >= 1:
             seed = Fraction(1, 2)
-        prefix = (seed,) * k0
-        trace = greedy_sequence(seed, r, rho, extension_budget, stop_when=target)
-    else:
-        prefix = x.coords[:k0]
-        trace = greedy_sequence(start, r, rho, extension_budget, stop_when=target)
+        start, prefix = seed, (seed,) * k0
+    trace = greedy_sequence(start, r, rho, extension_budget, stop_when=1 - delta)
     e = PointPrefix(prefix + trace.partials)
 
     common = min(len(e.coords), len(x.coords))
@@ -268,30 +267,29 @@ def density_witness(
     return e, bound, cert
 
 
-def sample_points(fan: FanApprox, count: int, seed: int, t_denominator: int = 1024) -> list[PointPrefix]:
-    """Deterministic point sample: a uniform leg and a uniform grid parameter per draw."""
+def _point_on(leg, rng: random.Random) -> PointPrefix:
+    """The point of `leg` at t = t_max * k / 1024, k drawn by one rng.randint(0, 1024)."""
+    return leg_point(leg, leg.t_max * rng.randint(0, 1024) / 1024)
+
+
+def sample_points(fan: FanApprox, count: int, seed: int) -> list[PointPrefix]:
+    """Deterministic point sample: per draw a uniform leg index, then a uniform grid parameter."""
+    legs = fan.legs
+    if not legs:
+        raise DomainError("a fan with no legs has no points to sample")
     rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        leg = fan.legs[rng.randrange(len(fan.legs))]
-        t = leg.t_max * rng.randint(0, t_denominator) / t_denominator
-        points.append(leg_point(leg, t))
-    return points
+    return [_point_on(legs[rng.randrange(len(legs))], rng) for _ in range(count)]
 
 
-def sample_deep_points(
-    relation: RelationSpec, depth: int, count: int, seed: int, t_denominator: int = 1024
-) -> list[PointPrefix]:
-    """Deterministic depth-n point sample for depths where enumeration is infeasible."""
+def sample_deep_points(relation: RelationSpec, depth: int, count: int, seed: int) -> list[PointPrefix]:
+    """Deterministic depth-n point sample: per draw a uniform word, then a uniform grid parameter.
+
+    For depths where enumeration is infeasible.
+    """
     if depth < 0:
         raise DomainError("depth must be non-negative")
     rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        leg = build_leg(draw_word(rng, relation, depth))
-        t = leg.t_max * rng.randint(0, t_denominator) / t_denominator
-        points.append(leg_point(leg, t))
-    return points
+    return [_point_on(build_leg(draw_word(rng, relation, depth)), rng) for _ in range(count)]
 
 
 def density_sweep(
@@ -335,8 +333,8 @@ def _metric_weights(depth: int):
     return np.array([2.0 ** -(k + 1) for k in range(depth + 1)])
 
 
-def _require_legs(*fans: FanApprox) -> None:
-    if any(not fan.legs for fan in fans):
+def _require_legs(fan: FanApprox) -> None:
+    if not fan.legs:
         raise DomainError("a fan with no legs has no Hausdorff distance")
 
 
@@ -451,10 +449,9 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     """
     if a.depth != b.depth:
         raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
-    if grid < 1:
-        raise DomainError("grid must be a positive integer")
-    _require_legs(a, b)
+    # sample_resolution checks grid and a's legs first.
     padding = 0.5 * sample_resolution(a, grid)
+    _require_legs(b)
     unshared = tuple(_legs_missing_from(a, b))
     if not unshared:
         return 0.0, padding
@@ -477,9 +474,9 @@ def hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[flo
     return max(lo_ab, lo_ba), max(up_ab, up_ba)
 
 
-def _feasible_epsilons(epsilons, depth: int):
-    # density_witness needs k0 <= depth + 1 coordinates to anchor the kept prefix.
-    return tuple(e for e in epsilons if _min_k0(Fraction(e)) <= depth + 1)
+def _check(name: str, counterexample) -> dict:
+    """One report entry; it passes exactly when there is no counterexample."""
+    return {"name": name, "pass": counterexample is None, "counterexample": counterexample}
 
 
 def verify_embedding(
@@ -488,88 +485,56 @@ def verify_embedding(
     depth: int,
     samples: int,
     seed: int,
-    epsilons=None,
     extension_budget: int = DEFAULT_GREEDY_BUDGET,
-    delta: Fraction = Fraction(1, 100),
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Check, at finite depth, that the two-slope product embeds in the three-slope one.
 
     Checks: (a) every leg of the diagonal+r relation equals a leg of the
     full three-slope relation exactly, (b) those legs all have t_max = 1,
-    (c) distinct words yield distinct prefix-product sequences, (d) sampled
-    points admit density witnesses for every feasible epsilon in the
-    schedule. Returns a report dict with one pass/fail entry per check and
-    a first counterexample where applicable.
+    (c) distinct words yield distinct prefix-product sequences (the first
+    clash in enumeration order is reported), (d) sampled points admit
+    density witnesses at tolerance DEFAULT_DELTA for every epsilon of the
+    schedule: the part of DENSITY_EPSILONS whose kept prefix of k0
+    coordinates fits in depth + 1. Returns a report dict with one
+    pass/fail entry per check and a first counterexample where applicable.
     """
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
     full = fan_relation(r, rho)
-    sub = cantor_relation(r)
     fan_full = enumerate_legs(full, depth, budget)
-    fan_sub = enumerate_legs(sub, depth, budget)
-    checks = []
+    fan_sub = enumerate_legs(cantor_relation(r), depth, budget)
+    format_word = word_formatter(full)
 
     bad = next(_legs_missing_from(fan_sub, fan_full), None)
-    checks.append(
-        {
-            "name": "g-legs-are-f-legs",
-            "pass": bad is None,
-            "counterexample": None
-            if bad is None
-            else {"word": [format_scalar(s) for s in bad.word.symbols]},
-        }
-    )
-
     short = next((leg for leg in fan_sub.legs if leg.t_max != 1), None)
-    checks.append(
-        {
-            "name": "g-legs-full-length",
-            "pass": short is None,
-            "counterexample": None
-            if short is None
-            else {
-                "word": [format_scalar(s) for s in short.word.symbols],
-                "t_max": format_scalar(short.t_max),
-            },
-        }
-    )
-
     seen: dict = {}
     clash = None
     for leg in fan_full.legs:
-        other = seen.get(leg.prefix_products)
-        if other is not None:
-            clash = (other, leg)
+        if leg.prefix_products in seen:
+            clash = (seen[leg.prefix_products], leg)
             break
         seen[leg.prefix_products] = leg
-    checks.append(
-        {
-            "name": "leg-injectivity",
-            "pass": clash is None,
-            "counterexample": None
-            if clash is None
-            else {
-                "words": [
-                    [format_scalar(s) for s in leg.word.symbols] for leg in clash
-                ]
-            },
-        }
-    )
+    checks = [
+        _check("g-legs-are-f-legs", None if bad is None else {"word": format_word(bad.word)}),
+        _check(
+            "g-legs-full-length",
+            None
+            if short is None
+            else {"word": format_word(short.word), "t_max": format_scalar(short.t_max)},
+        ),
+        _check(
+            "leg-injectivity",
+            None if clash is None else {"words": [format_word(leg.word) for leg in clash]},
+        ),
+    ]
 
     points = sample_points(fan_full, samples, seed)
-    if epsilons is None:
-        epsilons = DENSITY_EPSILONS
-    schedule = _feasible_epsilons(epsilons, depth)
+    schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth + 1]
     for eps in schedule:
-        eps = Fraction(eps)
-        failures, _, _ = density_sweep(points, eps, r, rho, extension_budget, delta)
+        failures, _, _ = density_sweep(points, eps, r, rho, extension_budget, DEFAULT_DELTA)
         checks.append(
-            {
-                "name": f"density-epsilon-{format_scalar(eps)}",
-                "pass": not failures,
-                "counterexample": failures[0] if failures else None,
-            }
+            _check(f"density-epsilon-{format_scalar(eps)}", failures[0] if failures else None)
         )
 
     return {
@@ -578,7 +543,7 @@ def verify_embedding(
         "depth": depth,
         "samples": samples,
         "seed": seed,
-        "epsilons": [format_scalar(Fraction(e)) for e in schedule],
+        "epsilons": [format_scalar(eps) for eps in schedule],
         "pass": all(c["pass"] for c in checks),
         "checks": checks,
     }

@@ -259,6 +259,7 @@ def _add_slope_args(parser, with_depth=True, depth_default=6):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    delta = format_scalar(analysis.DEFAULT_DELTA)
 
     p = sub.add_parser("check-nc", help="decide the never-connect condition exactly")
     _add_slope_args(p, with_depth=False)
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, metavar="M")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
-    p.add_argument("--delta", default="1/100", help="approximate-certificate tolerance")
+    p.add_argument("--delta", default=delta, help="approximate-certificate tolerance")
     p.add_argument(
         "--degeneracy-threshold",
         default=format_scalar(mahavier.DEGENERACY_THRESHOLD),
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="sample deep points and certify endpoint density")
     _add_slope_args(p, depth_default=40)
     p.add_argument("--epsilon", default="1/64", help="target distance, as p/q")
-    p.add_argument("--delta", default="1/100", help="endpoint-certificate tolerance")
+    p.add_argument("--delta", default=delta, help="endpoint-certificate tolerance")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_GREEDY_BUDGET)

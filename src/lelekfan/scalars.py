@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .errors import DomainError, FormatError, ResourceError
 
-Scalar = Fraction
-
 DEFAULT_PRIME_BOUND = 10**6
 
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")

@@ -239,6 +239,16 @@ def deep_points_reference(slopes, depth: int, count: int, seed: int, t_denominat
     return draws
 
 
+def points_reference(leg_count: int, count: int, seed: int, t_denominator: int = 1024):
+    """(leg index, t) pairs in the documented draw order: a leg index, then its t."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        index = rng.randrange(leg_count)
+        draws.append((index, Fraction(rng.randint(0, t_denominator), t_denominator)))
+    return draws
+
+
 def hausdorff_all_samples_float(a, b, grid: int) -> tuple[float, float]:
     """Float enclosure from every grid sample of every a-leg against every b-leg.
 

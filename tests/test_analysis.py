@@ -50,6 +50,7 @@ from oracles import (
     greedy_reference,
     hausdorff_all_samples_float,
     hausdorff_max_min_exact,
+    points_reference,
 )
 
 R = Fraction(1, 2)
@@ -145,6 +146,11 @@ def test_oracle_examples():
 def test_oracle_budget():
     with pytest.raises(ResourceError):
         oracle_best_sequence(Fraction(2, 5), R, RHO, 21)
+
+
+def test_oracle_negative_steps_is_domain_error():
+    with pytest.raises(DomainError, match="steps must be non-negative"):
+        oracle_best_sequence(Fraction(2, 5), R, RHO, -1)
 
 
 def test_oracle_partials_valid_and_deterministic():
@@ -365,6 +371,24 @@ def test_sample_points_deterministic_and_valid():
     assert a == b
     for p in a:
         assert membership(p, F)
+
+
+def test_sample_points_draw_order():
+    # Each point draws its leg index first, then its parameter; the
+    # embed-check report depends on this order.
+    for relation, depth in ((F, 5), (cantor_relation(R), 7), (F, 0)):
+        fan = enumerate_legs(relation, depth)
+        points = sample_points(fan, 30, seed=4)
+        expected = []
+        for index, fraction in points_reference(len(fan.legs), 30, seed=4):
+            leg = fan.legs[index]
+            expected.append(leg_point(leg, leg.t_max * fraction))
+        assert points == expected
+
+
+def test_sample_points_no_legs_is_domain_error():
+    with pytest.raises(DomainError, match="no legs"):
+        sample_points(FanApprox(F, 3, ()), 5, seed=1)
 
 
 def test_hausdorff_identical_fans():
@@ -632,8 +656,11 @@ def test_hausdorff_empty_fan_is_domain_error(a_empty, b_empty):
 def test_hausdorff_shape_and_grid_errors():
     with pytest.raises(ShapeError):
         hausdorff(enumerate_legs(F, 3), enumerate_legs(F, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="grid must be a positive integer"):
         hausdorff(enumerate_legs(F, 3), enumerate_legs(F, 3), grid=0)
+    # The grid is checked before either fan's legs.
+    with pytest.raises(DomainError, match="grid must be a positive integer"):
+        directed_hausdorff(enumerate_legs(F, 3), FanApprox(F, 3, ()), grid=0)
 
 
 def test_verify_embedding_passes():
@@ -655,3 +682,68 @@ def test_verify_embedding_depth_zero_vacuous():
 def test_verify_embedding_rejects_dependent_pair():
     with pytest.raises(NcViolation):
         verify_embedding(R, Fraction(2), depth=3, samples=5, seed=1)
+
+
+def _embedding_checks(monkeypatch, full_legs, sub_legs):
+    # verify_embedding on hand-built depth-2 fans; depth 2 is too shallow
+    # for any density epsilon, so only the three structural checks run.
+    fans = {
+        F: FanApprox(F, 2, tuple(full_legs)),
+        cantor_relation(R): FanApprox(cantor_relation(R), 2, tuple(sub_legs)),
+    }
+    monkeypatch.setattr(analysis, "enumerate_legs", lambda relation, depth, budget: fans[relation])
+    report = verify_embedding(R, RHO, depth=2, samples=5, seed=3)
+    assert report["epsilons"] == []
+    assert all(list(c) == ["name", "pass", "counterexample"] for c in report["checks"])
+    return report["checks"]
+
+
+def _passed(name):
+    return {"name": name, "pass": True, "counterexample": None}
+
+
+def test_verify_embedding_counterexamples(monkeypatch):
+    full = list(enumerate_legs(F, 2).legs)
+    sub = list(enumerate_legs(cantor_relation(R), 2).legs)
+
+    # G-words (1, 1/2) and (1, 1) are missing from F; the first is reported.
+    missing = [leg for leg in full if leg.word.symbols[0] != 1]
+    assert _embedding_checks(monkeypatch, missing, sub) == [
+        {"name": "g-legs-are-f-legs", "pass": False, "counterexample": {"word": ["1", "1/2"]}},
+        _passed("g-legs-full-length"),
+        _passed("leg-injectivity"),
+    ]
+
+    # Two G-legs capped below 1, in both fans; the first is reported.
+    capped = dict(zip((1, 3), (Fraction(1, 2), Fraction(1, 3))))
+    short_sub = [
+        Leg(leg.word, leg.prefix_products, capped[i]) if i in capped else leg
+        for i, leg in enumerate(sub)
+    ]
+    by_word = {leg.word.symbols: leg for leg in short_sub}
+    short_full = [by_word.get(leg.word.symbols, leg) for leg in full]
+    assert _embedding_checks(monkeypatch, short_full, short_sub) == [
+        _passed("g-legs-are-f-legs"),
+        {
+            "name": "g-legs-full-length",
+            "pass": False,
+            "counterexample": {"word": ["1/2", "1"], "t_max": "1/2"},
+        },
+        _passed("leg-injectivity"),
+    ]
+
+    # F-legs 5 and 8 repeat the prefix products of legs 2 and 0; the
+    # first clash in enumeration order is reported as [earlier, later].
+    clashing = list(full)
+    for later, earlier in ((5, 2), (8, 0)):
+        leg = full[later]
+        clashing[later] = Leg(leg.word, full[earlier].prefix_products, leg.t_max)
+    assert _embedding_checks(monkeypatch, clashing, sub) == [
+        _passed("g-legs-are-f-legs"),
+        _passed("g-legs-full-length"),
+        {
+            "name": "leg-injectivity",
+            "pass": False,
+            "counterexample": {"words": [["1/2", "3"], ["1", "3"]]},
+        },
+    ]
