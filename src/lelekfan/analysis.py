@@ -90,11 +90,14 @@ def greedy_sequence(
 
     Ties (rho * current == 1) choose rho, which lands exactly on 1. When
     `stop_when` is given the climb stops early once the running maximum
-    reaches it, so traces stay short. Requires 0 < x < 1 and an NC pair.
+    reaches it, so traces stay short. Requires 0 < x < 1, steps >= 0 and an
+    NC pair.
     """
     x, r, rho = Fraction(x), Fraction(r), Fraction(rho)
     if not 0 < x < 1:
         raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
+    if steps < 0:
+        raise DomainError(f"steps must be non-negative, got {steps}")
     require_nc(r, rho)
     symbols: list[Fraction] = []
     partials: list[Fraction] = []
@@ -128,6 +131,11 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     Returns a trace maximizing the running maximum (deterministically the
     first maximizer in rho-first preorder). Independent of the greedy rule;
     exponential in steps, hence DEFAULT_ORACLE_BUDGET.
+
+    The search runs on unreduced integer numerators and denominators: a
+    partial n/d stays in range when n <= d (denominators are positive), and
+    maxima are compared by cross-multiplying. Only the best word's partials
+    become Fractions, at the end.
     """
     x, r, rho = Fraction(x), Fraction(r), Fraction(rho)
     if not 0 < x < 1:
@@ -136,43 +144,57 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
         raise DomainError(f"steps must be non-negative, got {steps}")
     if steps > DEFAULT_ORACLE_BUDGET:
         raise ResourceError(f"steps = {steps} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
-    best = {"symbols": (), "partials": (), "max": x}
-    sym_path: list[Fraction] = []
-    part_path: list[Fraction] = []
+    slopes = ((rho, rho.numerator, rho.denominator), (r, r.numerator, r.denominator))
+    path: list[Fraction] = []
+    best_path: tuple[Fraction, ...] = ()
+    best_num, best_den = x.numerator, x.denominator
 
-    def visit(current: Fraction, current_max: Fraction) -> None:
-        if current_max > best["max"]:
-            best["symbols"] = tuple(sym_path)
-            best["partials"] = tuple(part_path)
-            best["max"] = current_max
-        if len(sym_path) == steps:
+    def visit(num: int, den: int, max_num: int, max_den: int) -> None:
+        nonlocal best_path, best_num, best_den
+        if len(path) == steps:
             return
-        for s in (rho, r):
-            nxt = current * s
-            if nxt.numerator <= nxt.denominator:
-                sym_path.append(s)
-                part_path.append(nxt)
-                visit(nxt, current_max if current_max >= nxt else nxt)
-                sym_path.pop()
-                part_path.pop()
+        for s, s_num, s_den in slopes:
+            n, d = num * s_num, den * s_den
+            if n <= d:
+                path.append(s)
+                if n * max_den > max_num * d:
+                    # A new running max; only it can beat the best so far.
+                    if n * best_den > best_num * d:
+                        best_path, best_num, best_den = tuple(path), n, d
+                    visit(n, d, n, d)
+                else:
+                    visit(n, d, max_num, max_den)
+                path.pop()
 
-    visit(x, x)
-    return GreedyTrace(x, best["symbols"], best["partials"], best["max"])
+    visit(x.numerator, x.denominator, x.numerator, x.denominator)
+    partials = []
+    current = x
+    for s in best_path:
+        current = current * s
+        partials.append(current)
+    return GreedyTrace(x, best_path, tuple(partials), Fraction(best_num, best_den))
 
 
 def classify_endpoint(point: PointPrefix, delta) -> EndpointCertificate | NotEndpointVerdict:
     """Certify the coordinate maximum: exact (== 1), approximate (>= 1 - delta), or neither.
 
     A NotEndpointVerdict only means "not certified within this prefix and
-    tolerance"; a longer prefix might still certify.
+    tolerance"; a longer prefix might still certify. The peak is the first
+    maximal coordinate, found by integer cross-multiplication.
     """
     delta = Fraction(delta)
     if delta < 0:
         raise DomainError("delta must be non-negative")
     coords = point.coords
-    peak = max(coords)
-    peak_index = coords.index(peak)
-    if peak.numerator == peak.denominator:
+    if not coords:
+        raise DomainError("a point with no coordinates has no peak")
+    peak_index = 0
+    peak_num, peak_den = coords[0].numerator, coords[0].denominator
+    for i, c in enumerate(coords):
+        if c.numerator * peak_den > peak_num * c.denominator:
+            peak_index, peak_num, peak_den = i, c.numerator, c.denominator
+    peak = coords[peak_index]
+    if peak_num == peak_den:
         return EndpointCertificate(EXACT, point, peak_index, peak, Fraction(0))
     if peak >= 1 - delta:
         return EndpointCertificate(APPROXIMATE, point, peak_index, peak, 1 - peak)
@@ -498,7 +520,10 @@ def verify_embedding(
     schedule: the part of DENSITY_EPSILONS whose kept prefix of k0
     coordinates fits in depth + 1. Returns a report dict with one
     pass/fail entry per check and a first counterexample where applicable.
+    Requires samples >= 1, so the density checks never pass on no points.
     """
+    if samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples}")
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
     full = fan_relation(r, rho)

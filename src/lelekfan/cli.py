@@ -196,7 +196,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_embed_check(args) -> int:
-    _require_count("--samples", args.samples)
     report = analysis.verify_embedding(
         args.r,
         args.rho,

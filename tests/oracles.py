@@ -161,6 +161,26 @@ def best_climb_max_by_enumeration(x: Fraction, r: Fraction, rho: Fraction, steps
     return best
 
 
+def oracle_trace_by_preorder(x: Fraction, r: Fraction, rho: Fraction, steps: int):
+    """The exhaustive climb as (symbols, partials, running max), by sorting every word.
+
+    Words of length <= steps are generated by itertools.product and put in
+    rho-first preorder by sorting their index tuples (rho is 0, r is 1; a
+    prefix sorts before its extensions). A word counts when every partial is
+    <= 1; the first word whose running max is strictly greatest wins.
+    """
+    words = [w for n in range(steps + 1) for w in itertools.product((0, 1), repeat=n)]
+    best = ((), (), x)
+    for word in sorted(words):
+        symbols = tuple(rho if i == 0 else r for i in word)
+        partials = tuple(itertools.accumulate(symbols, operator.mul, initial=x))[1:]
+        if all(p <= 1 for p in partials):
+            running = max((x, *partials))
+            if running > best[2]:
+                best = (symbols, partials, running)
+    return best
+
+
 def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
     """Exact max over a's grid samples of the min distance to b's legs, in Fractions.
 

@@ -13,6 +13,7 @@ from lelekfan import (
     EXACT,
     EndpointCertificate,
     FanApprox,
+    GreedyTrace,
     Leg,
     NcViolation,
     NotEndpointVerdict,
@@ -50,6 +51,7 @@ from oracles import (
     greedy_reference,
     hausdorff_all_samples_float,
     hausdorff_max_min_exact,
+    oracle_trace_by_preorder,
     points_reference,
 )
 
@@ -85,6 +87,8 @@ def test_greedy_preconditions():
         greedy_sequence(Fraction(1), R, RHO, 4)
     with pytest.raises(NcViolation):
         greedy_sequence(Fraction(2, 5), R, Fraction(2), 4)
+    with pytest.raises(DomainError, match="steps must be non-negative"):
+        greedy_sequence(Fraction(2, 5), R, RHO, -1)
 
 
 def test_greedy_partials_stay_in_unit_interval():
@@ -153,6 +157,22 @@ def test_oracle_negative_steps_is_domain_error():
         oracle_best_sequence(Fraction(2, 5), R, RHO, -1)
 
 
+@pytest.mark.parametrize(
+    "x, r, rho",
+    [
+        (Fraction(1, 3), R, RHO),  # many words reach 1: the first one wins
+        (Fraction(2, 5), R, RHO),
+        (Fraction(3, 7), Fraction(5, 7), Fraction(11, 4)),
+        (Fraction(4, 9), Fraction(2, 3), Fraction(5, 2)),
+    ],
+    ids=["1/3;1/2,3", "2/5;1/2,3", "3/7;5/7,11/4", "4/9;2/3,5/2"],
+)
+def test_oracle_matches_preorder_reference(x, r, rho):
+    for steps in range(13):
+        expected = GreedyTrace(x, *oracle_trace_by_preorder(x, r, rho, steps))
+        assert oracle_best_sequence(x, r, rho, steps) == expected, steps
+
+
 def test_oracle_partials_valid_and_deterministic():
     a = oracle_best_sequence(Fraction(3, 7), R, RHO, 10)
     b = oracle_best_sequence(Fraction(3, 7), R, RHO, 10)
@@ -192,6 +212,42 @@ def test_classify_endpoint_examples():
     assert approx.kind == APPROXIMATE
     assert approx.delta == Fraction(1, 10)
     assert approx.peak_index == 3
+
+
+def test_classify_endpoint_first_of_tied_maxima():
+    first, second = Fraction(2, 3), Fraction(4, 6)
+    assert first == second and first is not second
+    point = PointPrefix((Fraction(1, 3), first, Fraction(1, 2), second))
+    verdict = classify_endpoint(point, Fraction(1, 100))
+    assert isinstance(verdict, NotEndpointVerdict)
+    assert verdict.peak_index == 1 and verdict.peak_value is first
+    point = PointPrefix((Fraction(1, 2), Fraction(1), Fraction(3, 3)))
+    cert = classify_endpoint(point, 0)
+    assert cert.kind == EXACT and cert.peak_index == 1 and cert.peak_value is point.coords[1]
+
+
+def test_classify_endpoint_long_coordinates():
+    rng = random.Random(41)
+    for _ in range(10):
+        coords = []
+        for _ in range(300):
+            den = rng.getrandbits(1500) | (1 << 1499)
+            coords.append(Fraction(rng.randint(0, den), den))
+        peak = max(coords)
+        # The same value again, later and as a distinct object.
+        coords.insert(rng.randrange(coords.index(peak) + 1, len(coords) + 1), peak * 1)
+        index = coords.index(peak)
+        point = PointPrefix(tuple(coords))
+        at = classify_endpoint(point, 1 - peak)
+        assert at.kind == APPROXIMATE and at.peak_index == index and at.peak_value is coords[index]
+        assert at.delta == 1 - peak
+        below = classify_endpoint(point, (1 - peak) * Fraction(999, 1000))
+        assert isinstance(below, NotEndpointVerdict) and below.peak_index == index
+
+
+def test_classify_endpoint_empty_point_is_domain_error():
+    with pytest.raises(DomainError, match="no coordinates"):
+        classify_endpoint(PointPrefix(()), Fraction(1, 100))
 
 
 def test_canonical_extension_stays_at_one():
@@ -677,6 +733,13 @@ def test_verify_embedding_passes():
 def test_verify_embedding_depth_zero_vacuous():
     report = verify_embedding(R, RHO, depth=0, samples=5, seed=1)
     assert report["pass"]
+
+
+@pytest.mark.parametrize("samples", [0, -4])
+def test_verify_embedding_rejects_no_samples(samples):
+    # With no sampled points the density checks would pass vacuously.
+    with pytest.raises(DomainError, match="samples must be a positive integer"):
+        verify_embedding(R, RHO, depth=5, samples=samples, seed=7)
 
 
 def test_verify_embedding_rejects_dependent_pair():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lelekfan import (
+    DEFAULT_PRIME_BOUND,
     DomainError,
     FormatError,
     ResourceError,
@@ -16,7 +19,10 @@ from lelekfan import (
     parse_scalar,
     power,
 )
-from oracles import recompose, trial_factor_rational
+from lelekfan import scalars
+from oracles import recompose, trial_factor_int, trial_factor_rational
+
+EMPTY_TABLE = (b"\x02", 2)  # the prime table before its first growth
 
 
 def test_parse_and_format_round_trip():
@@ -77,8 +83,84 @@ def test_factor_domain_and_bound_errors():
         factor(Fraction(0))
     with pytest.raises(DomainError):
         factor(Fraction(-4, 9))
+    with pytest.raises(ResourceError, match="factor 1000003 exceeds"):
+        factor(Fraction(1_000_003))  # 1000003 is prime
+
+
+def _expect_factor(n: int) -> None:
+    """factor(n) and factor(1/n) against the oracle: exponents in prime order, or the refusal."""
+    expected = trial_factor_int(n)
+    leftover = math.prod(p**e for p, e in expected.items() if p > DEFAULT_PRIME_BOUND)
+    if leftover > 1:
+        for q in (Fraction(n), Fraction(1, n)):
+            with pytest.raises(ResourceError, match=f"factor {leftover} exceeds"):
+                factor(q)
+        return
+    assert list(factor(n).items()) == list(expected.items()), n
+    assert list(factor(Fraction(1, n)).items()) == [(p, -e) for p, e in expected.items()], n
+
+
+def test_factor_matches_trial_division_oracle():
+    for n in range(1, 3000):
+        _expect_factor(n)
+    rng = random.Random(1213)
+    for _ in range(300):
+        # Every magnitude below 10**13, on both sides of the prime bound.
+        _expect_factor(rng.randrange(1, 10 ** rng.randint(1, 13)))
+
+
+def test_factor_at_the_prime_bound():
+    p, q = 999983, 999979  # the two largest primes below 10**6
+    u, v = 1_000_003, 1_000_033  # the two smallest above it
+    for n in (p, p * q, p**2, q * p**3, 2 * p * q):
+        _expect_factor(n)
+    assert list(factor(Fraction(p, q**2)).items()) == [(p, 1), (q, -2)]
+    for n, leftover in ((u, u), (u * v, u * v), (2 * 3 * u, u), (p * u**2, u**2)):
+        with pytest.raises(ResourceError, match=f"factor {leftover} exceeds"):
+            factor(n)
+
+
+def test_prime_table_is_the_primes_below_the_bound(monkeypatch):
+    monkeypatch.setattr(scalars, "_primes", EMPTY_TABLE)
     with pytest.raises(ResourceError):
-        factor(Fraction(1_000_003), prime_bound=10**3)  # 1000003 is prime
+        factor(1_000_003 * 1_000_033)  # needs every prime up to the bound
+    primes = list(itertools.accumulate(scalars._primes[0]))
+    assert len(primes) == 78498 and primes[-1] == 999983
+    assert scalars._prime_gaps(10**9) is scalars._primes[0]  # the table stops at the bound
+    # An independent sieve of Eratosthenes over the whole range.
+    bound = DEFAULT_PRIME_BOUND
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\x00\x00"
+    for d in range(2, math.isqrt(bound) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, bound + 1, d)))
+    assert primes == list(itertools.compress(range(bound + 1), sieve))
+
+
+def test_factor_across_prime_table_segments(monkeypatch):
+    # Each growth of the table ends a segment; primes on either side of
+    # each end, factored from an empty table and from the full one.
+    monkeypatch.setattr(scalars, "_primes", EMPTY_TABLE)
+    ends = []
+    while scalars._primes[1] < DEFAULT_PRIME_BOUND:
+        scalars._prime_gaps(scalars._primes[1] + 1)
+        ends.append(scalars._primes[1])
+    assert len(ends) > 10
+    full = scalars._primes
+
+    def is_prime(n):
+        return trial_factor_int(n) == {n: 1}
+
+    for end in ends:
+        below = next(n for n in range(end, 1, -1) if is_prime(n))
+        above = next(n for n in itertools.count(end + 1) if is_prime(n))
+        cases = [(below * above, {below: 1, above: 1}), (above**2, {above: 2}), (below**3, {below: 3})]
+        for n, expected in cases:
+            if max(expected) > DEFAULT_PRIME_BOUND:
+                continue
+            for table in (EMPTY_TABLE, full):
+                monkeypatch.setattr(scalars, "_primes", table)
+                assert factor(n) == expected, (end, n)
 
 
 def test_factor_converts_any_rational_input():
