@@ -14,9 +14,9 @@ from .analysis import (
     DEFAULT_ORACLE_BUDGET,
     DENSITY_EPSILONS,
     EXACT,
-    EndpointCertificate,
+    NOT_CERTIFIED,
+    EndpointVerdict,
     GreedyTrace,
-    NotEndpointVerdict,
     canonical_endpoint_extension,
     classify_endpoint,
     density_sweep,

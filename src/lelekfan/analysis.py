@@ -1,12 +1,13 @@
 """Endpoint classification, climb sequences, density witnesses and Hausdorff enclosures.
 
 This is the verification layer: a point of the product is an end-point
-exactly when the supremum of its coordinates equals 1, so finite evidence
-takes two forms. An exact certificate exhibits a coordinate equal to 1
-(its extension by diagonal steps then stays at 1 forever); an approximate
-certificate exhibits a coordinate within delta of 1 together with the
-climb that produced it. Density witnesses combine a kept prefix with a
-climb whose distance contribution is controlled by the metric tail.
+exactly when the supremum of its coordinates equals 1, so one verdict
+gives one of three kinds. An exact verdict exhibits a coordinate equal to
+1 (its extension by diagonal steps then stays at 1 forever); an
+approximate one exhibits a coordinate within delta of 1; otherwise the
+point is not certified within its prefix and tolerance. Density witnesses
+combine a kept prefix with a climb whose distance contribution is
+controlled by the metric tail.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ DENSITY_EPSILONS = (Fraction(1, 16), Fraction(1, 64), Fraction(1, 256))
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
+NOT_CERTIFIED = "not_certified"
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ class GreedyTrace:
 
 
 @dataclass(frozen=True)
-class EndpointCertificate:
-    """Evidence that a point's coordinate maximum reaches (exact) or nears (approximate) 1."""
+class EndpointVerdict:
+    """Whether a point's coordinate maximum reaches 1 (EXACT), nears it (APPROXIMATE) or neither.
+
+    NOT_CERTIFIED means no certificate within this prefix and tolerance, not
+    a disproof. `delta` is 1 - peak_value (0 when exact).
+    """
 
     kind: str
     point: PointPrefix
@@ -70,13 +76,14 @@ class EndpointCertificate:
     delta: Fraction
 
 
-@dataclass(frozen=True)
-class NotEndpointVerdict:
-    """No certificate within this prefix and tolerance; not a disproof."""
-
-    point: PointPrefix
-    peak_index: int
-    peak_value: Fraction
+def _climb_start(x, steps: int) -> Fraction:
+    """The start x as a Fraction: a DomainError unless 0 < x < 1, then unless steps >= 0."""
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
+    if steps < 0:
+        raise DomainError(f"steps must be non-negative, got {steps}")
+    return x
 
 
 def greedy_sequence(
@@ -93,11 +100,8 @@ def greedy_sequence(
     reaches it, so traces stay short. Requires 0 < x < 1, steps >= 0 and an
     NC pair.
     """
-    x, r, rho = Fraction(x), Fraction(r), Fraction(rho)
-    if not 0 < x < 1:
-        raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
-    if steps < 0:
-        raise DomainError(f"steps must be non-negative, got {steps}")
+    x = _climb_start(x, steps)
+    r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
     symbols: list[Fraction] = []
     partials: list[Fraction] = []
@@ -137,11 +141,8 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     maxima are compared by cross-multiplying. Only the best word's partials
     become Fractions, at the end.
     """
-    x, r, rho = Fraction(x), Fraction(r), Fraction(rho)
-    if not 0 < x < 1:
-        raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
-    if steps < 0:
-        raise DomainError(f"steps must be non-negative, got {steps}")
+    x = _climb_start(x, steps)
+    r, rho = Fraction(r), Fraction(rho)
     if steps > DEFAULT_ORACLE_BUDGET:
         raise ResourceError(f"steps = {steps} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
     slopes = ((rho, rho.numerator, rho.denominator), (r, r.numerator, r.denominator))
@@ -175,10 +176,10 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     return GreedyTrace(x, best_path, tuple(partials), Fraction(best_num, best_den))
 
 
-def classify_endpoint(point: PointPrefix, delta) -> EndpointCertificate | NotEndpointVerdict:
-    """Certify the coordinate maximum: exact (== 1), approximate (>= 1 - delta), or neither.
+def classify_endpoint(point: PointPrefix, delta) -> EndpointVerdict:
+    """Classify the coordinate maximum: EXACT (== 1), APPROXIMATE (>= 1 - delta) or NOT_CERTIFIED.
 
-    A NotEndpointVerdict only means "not certified within this prefix and
+    NOT_CERTIFIED only means "not certified within this prefix and
     tolerance"; a longer prefix might still certify. The peak is the first
     maximal coordinate, found by integer cross-multiplication.
     """
@@ -195,21 +196,21 @@ def classify_endpoint(point: PointPrefix, delta) -> EndpointCertificate | NotEnd
             peak_index, peak_num, peak_den = i, c.numerator, c.denominator
     peak = coords[peak_index]
     if peak_num == peak_den:
-        return EndpointCertificate(EXACT, point, peak_index, peak, Fraction(0))
-    if peak >= 1 - delta:
-        return EndpointCertificate(APPROXIMATE, point, peak_index, peak, 1 - peak)
-    return NotEndpointVerdict(point, peak_index, peak)
+        return EndpointVerdict(EXACT, point, peak_index, peak, Fraction(0))
+    gap = 1 - peak
+    kind = APPROXIMATE if gap <= delta else NOT_CERTIFIED
+    return EndpointVerdict(kind, point, peak_index, peak, gap)
 
 
-def canonical_endpoint_extension(cert: EndpointCertificate, extra: int) -> PointPrefix:
-    """Extend an exact certificate past its peak by diagonal steps.
+def canonical_endpoint_extension(verdict: EndpointVerdict, extra: int) -> PointPrefix:
+    """Extend an exact verdict's point past its peak by diagonal steps.
 
     Every added coordinate equals 1, so any further extension of the
     underlying infinite sequence keeps the coordinate supremum at 1.
     """
-    if cert.kind != EXACT:
-        raise DomainError("only exact certificates extend canonically")
-    coords = cert.point.coords[: cert.peak_index + 1] + (Fraction(1),) * extra
+    if verdict.kind != EXACT:
+        raise DomainError("only exact verdicts extend canonically")
+    coords = verdict.point.coords[: verdict.peak_index + 1] + (Fraction(1),) * extra
     return PointPrefix(coords)
 
 
@@ -228,8 +229,8 @@ def density_witness(
     rho,
     extension_budget: int = DEFAULT_GREEDY_BUDGET,
     delta: Fraction = DEFAULT_DELTA,
-) -> tuple[PointPrefix, Fraction, EndpointCertificate]:
-    """Produce an endpoint-certified point within epsilon of x.
+) -> tuple[PointPrefix, Fraction, EndpointVerdict]:
+    """Produce a point within epsilon of x, climbed toward an end-point, and its verdict.
 
     Keeps x's first k0 coordinates (k0 minimal with 2^-k0 <= epsilon) and
     climbs greedily from the coordinate there; the coordinates that differ
@@ -240,17 +241,18 @@ def density_witness(
     epsilon. Both scaling slopes and the diagonal belong to the three-slope
     relation, so every witness passes membership against it.
 
-    Returns (e, bound, certificate): `bound` is the exactly computed metric
+    Returns (e, bound, verdict): `bound` is the exactly computed metric
     value over the common prefix plus its tail, always <= epsilon, and the
-    certificate is exact, or approximate with the delta actually achieved
-    within the budget (a short climb is reported, never silently dropped).
+    verdict is classify_endpoint(e, delta), with the delta actually
+    achieved within the budget. A climb that stops short of 1 - delta is
+    NOT_CERTIFIED: it is reported, never silently dropped.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    cls = classify_endpoint(x, delta)
-    if isinstance(cls, EndpointCertificate) and cls.kind == EXACT:
-        return x, Fraction(0), cls
+    verdict = classify_endpoint(x, delta)
+    if verdict.kind == EXACT:
+        return x, Fraction(0), verdict
 
     k0 = _min_k0(epsilon)
     if k0 > len(x.coords):
@@ -280,13 +282,7 @@ def density_witness(
             f"witness bound {format_scalar(bound)} exceeds epsilon = "
             f"{format_scalar(epsilon)}; the input prefix is too short"
         )
-
-    cert = classify_endpoint(e, delta)
-    if isinstance(cert, NotEndpointVerdict):
-        cert = EndpointCertificate(
-            APPROXIMATE, e, cert.peak_index, cert.peak_value, 1 - cert.peak_value
-        )
-    return e, bound, cert
+    return e, bound, classify_endpoint(e, delta)
 
 
 def _point_on(leg, rng: random.Random) -> PointPrefix:
@@ -319,7 +315,7 @@ def density_sweep(
 ) -> tuple[list[dict], Fraction, Fraction]:
     """A density witness for every point: (failures, max_bound, worst_delta).
 
-    A point fails when its certificate misses delta; each failure is
+    A point fails when its verdict misses delta; each failure is
     reported as formatted `point`, `bound` and `achieved_delta`, in the
     order of `points`. A witness bound over epsilon is not a failure but a
     DomainError from density_witness, which ends the sweep.
@@ -328,26 +324,24 @@ def density_sweep(
     max_bound = Fraction(0)
     worst_delta = Fraction(0)
     for point in points:
-        _, bound, cert = density_witness(point, epsilon, r, rho, budget, delta)
+        _, bound, verdict = density_witness(point, epsilon, r, rho, budget, delta)
         max_bound = max(max_bound, bound)
-        worst_delta = max(worst_delta, cert.delta)
-        if cert.delta > delta:
+        worst_delta = max(worst_delta, verdict.delta)
+        if verdict.delta > delta:
             failures.append(
                 {
                     "point": [format_scalar(c) for c in point.coords],
                     "bound": format_scalar(bound),
-                    "achieved_delta": format_scalar(cert.delta),
+                    "achieved_delta": format_scalar(verdict.delta),
                 }
             )
     return failures, max_bound, worst_delta
 
 
-def _leg_arrays(fan: FanApprox):
+def _leg_arrays(legs):
     # Direction vectors (1, P_1, ..., P_n) per leg, plus the parameter caps.
-    dirs = np.array(
-        [[1.0] + [float(p) for p in leg.prefix_products] for leg in fan.legs]
-    )
-    caps = np.array([float(leg.t_max) for leg in fan.legs])
+    dirs = np.array([[1.0] + [float(p) for p in leg.prefix_products] for leg in legs])
+    caps = np.array([float(leg.t_max) for leg in legs])
     return dirs, caps
 
 
@@ -370,7 +364,7 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
     if grid < 1:
         raise DomainError("grid must be a positive integer")
     _require_legs(fan)
-    dirs, caps = _leg_arrays(fan)
+    dirs, caps = _leg_arrays(fan.legs)
     weights = _metric_weights(fan.depth)
     return float(np.max((dirs @ weights) * caps / grid))
 
@@ -478,8 +472,8 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     if not unshared:
         return 0.0, padding
     weights = _metric_weights(a.depth)
-    dirs_b, caps_b = _leg_arrays(b)
-    dirs_a, caps_a = _leg_arrays(FanApprox(a.relation, a.depth, unshared))
+    dirs_b, caps_b = _leg_arrays(b.legs)
+    dirs_a, caps_a = _leg_arrays(unshared)
     # Weights fold into the data: sum_k w_k |a_k - s v_k| = sum_k |w_k a_k - s w_k v_k|.
     far = caps_a[:, None] * dirs_a
     worst = float(_min_distances(far, far * weights, dirs_b, dirs_b * weights, caps_b).max())

@@ -126,26 +126,21 @@ def cmd_endpoints(args) -> int:
         fan = _build_fan(args, args.relation)
     delta = parse_scalar(args.delta)
     threshold = parse_scalar(args.degeneracy_threshold)
-    kinds = {"exact": 0, "approximate": 0, "not_certified": 0}
+    kinds = dict.fromkeys((analysis.EXACT, analysis.APPROXIMATE, analysis.NOT_CERTIFIED), 0)
     legs_report = []
     degenerating = 0
     format_word = mahavier.word_formatter(fan.relation)
     for leg in fan.legs:
         tip = mahavier.leg_point(leg, leg.t_max)
         verdict = analysis.classify_endpoint(tip, delta)
-        kind = (
-            verdict.kind
-            if isinstance(verdict, analysis.EndpointCertificate)
-            else "not_certified"
-        )
-        kinds[kind] += 1
+        kinds[verdict.kind] += 1
         flagged = mahavier.is_degenerating(leg, threshold)
         degenerating += flagged
         legs_report.append(
             {
                 "word": format_word(leg.word),
                 "t_max": format_scalar(leg.t_max),
-                "kind": kind,
+                "kind": verdict.kind,
                 "peak_index": verdict.peak_index,
                 "peak_value": format_scalar(verdict.peak_value),
                 "degenerating": flagged,
@@ -157,9 +152,7 @@ def cmd_endpoints(args) -> int:
             "delta": format_scalar(delta),
             "degeneracy_threshold": format_scalar(threshold),
             "total": len(fan.legs),
-            "exact": kinds["exact"],
-            "approximate": kinds["approximate"],
-            "not_certified": kinds["not_certified"],
+            **kinds,
             "degenerating": degenerating,
             "legs": legs_report,
         },

@@ -11,12 +11,12 @@ from lelekfan import (
     APPROXIMATE,
     DomainError,
     EXACT,
-    EndpointCertificate,
+    EndpointVerdict,
     FanApprox,
     GreedyTrace,
     Leg,
+    NOT_CERTIFIED,
     NcViolation,
-    NotEndpointVerdict,
     PointPrefix,
     ResourceError,
     ShapeError,
@@ -89,6 +89,9 @@ def test_greedy_preconditions():
         greedy_sequence(Fraction(2, 5), R, Fraction(2), 4)
     with pytest.raises(DomainError, match="steps must be non-negative"):
         greedy_sequence(Fraction(2, 5), R, RHO, -1)
+    # The start is checked before the steps.
+    with pytest.raises(DomainError, match=r"start must lie in \(0, 1\)"):
+        greedy_sequence(Fraction(0), R, RHO, -1)
 
 
 def test_greedy_partials_stay_in_unit_interval():
@@ -155,6 +158,11 @@ def test_oracle_budget():
 def test_oracle_negative_steps_is_domain_error():
     with pytest.raises(DomainError, match="steps must be non-negative"):
         oracle_best_sequence(Fraction(2, 5), R, RHO, -1)
+    # The start is checked first, the budget last.
+    for x in (Fraction(0), Fraction(1), Fraction(3, 2)):
+        for steps in (4, -1, 21):
+            with pytest.raises(DomainError, match=r"start must lie in \(0, 1\)"):
+                oracle_best_sequence(x, R, RHO, steps)
 
 
 @pytest.mark.parametrize(
@@ -195,20 +203,19 @@ def test_classify_endpoint_examples():
     exact = classify_endpoint(
         PointPrefix((Fraction(2, 9), Fraction(2, 3), Fraction(1, 3), 1)), Fraction(1, 2)
     )
-    assert isinstance(exact, EndpointCertificate)
     assert exact.kind == EXACT
     assert exact.peak_index == 3
     assert exact.delta == 0
 
     top = classify_endpoint(PointPrefix((0, 0, 0)), Fraction(1, 4))
-    assert isinstance(top, NotEndpointVerdict)
+    assert top.kind == NOT_CERTIFIED
     assert top.peak_value == 0
+    assert top.delta == 1
 
     approx = classify_endpoint(
         PointPrefix((Fraction(1, 5), Fraction(3, 5), Fraction(3, 10), Fraction(9, 10))),
         Fraction(1, 8),
     )
-    assert isinstance(approx, EndpointCertificate)
     assert approx.kind == APPROXIMATE
     assert approx.delta == Fraction(1, 10)
     assert approx.peak_index == 3
@@ -219,7 +226,7 @@ def test_classify_endpoint_first_of_tied_maxima():
     assert first == second and first is not second
     point = PointPrefix((Fraction(1, 3), first, Fraction(1, 2), second))
     verdict = classify_endpoint(point, Fraction(1, 100))
-    assert isinstance(verdict, NotEndpointVerdict)
+    assert verdict.kind == NOT_CERTIFIED
     assert verdict.peak_index == 1 and verdict.peak_value is first
     point = PointPrefix((Fraction(1, 2), Fraction(1), Fraction(3, 3)))
     cert = classify_endpoint(point, 0)
@@ -242,12 +249,15 @@ def test_classify_endpoint_long_coordinates():
         assert at.kind == APPROXIMATE and at.peak_index == index and at.peak_value is coords[index]
         assert at.delta == 1 - peak
         below = classify_endpoint(point, (1 - peak) * Fraction(999, 1000))
-        assert isinstance(below, NotEndpointVerdict) and below.peak_index == index
+        assert below.kind == NOT_CERTIFIED and below.peak_index == index
+        assert below.delta == 1 - peak
 
 
 def test_classify_endpoint_empty_point_is_domain_error():
     with pytest.raises(DomainError, match="no coordinates"):
         classify_endpoint(PointPrefix(()), Fraction(1, 100))
+    with pytest.raises(DomainError, match="delta must be non-negative"):
+        classify_endpoint(PointPrefix((Fraction(1, 2),)), Fraction(-1, 100))
 
 
 def test_canonical_extension_stays_at_one():
@@ -257,10 +267,11 @@ def test_canonical_extension_stays_at_one():
     extended = canonical_endpoint_extension(cert, 5)
     assert extended.coords[cert.peak_index :] == (Fraction(1),) * 6
     assert membership(extended, F)
-    with pytest.raises(DomainError):
-        canonical_endpoint_extension(
-            EndpointCertificate(APPROXIMATE, tip, 1, Fraction(1, 2), Fraction(1, 2)), 2
-        )
+    for kind in (APPROXIMATE, NOT_CERTIFIED):
+        with pytest.raises(DomainError, match="only exact"):
+            canonical_endpoint_extension(
+                EndpointVerdict(kind, tip, 1, Fraction(1, 2), Fraction(1, 2)), 2
+            )
 
 
 def test_density_witness_exact_point_returns_itself():
@@ -295,6 +306,20 @@ def test_density_witness_from_the_top():
     assert cert.delta <= Fraction(1, 100)
     assert membership(e, F)
     assert max(e.coords) >= Fraction(99, 100)
+    # k0 = 1 and epsilon / 8 >= 1: the seed is clamped to 1/2, inside (0, 1).
+    for epsilon in (Fraction(8), Fraction(100)):
+        e, bound, cert = density_witness(x, epsilon, R, RHO)
+        assert e.coords[:3] == (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
+        assert bound <= epsilon
+        assert cert.kind == APPROXIMATE and cert.delta <= Fraction(1, 100)
+        assert membership(e, F)
+
+
+def test_density_witness_non_positive_epsilon_is_domain_error():
+    x = PointPrefix((Fraction(2, 5),) * 12)
+    for epsilon in (0, Fraction(-1, 16)):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            density_witness(x, epsilon, R, RHO)
 
 
 def test_density_witness_prefix_too_short():
@@ -307,10 +332,10 @@ def test_density_witness_requires_nc():
         density_witness(PointPrefix((Fraction(2, 5),) * 8), Fraction(1, 16), R, Fraction(2))
 
 
-def test_density_witness_short_budget_reports_approximate():
+def test_density_witness_short_budget_reports_not_certified():
     x = PointPrefix((Fraction(2, 5),) * 12)
     e, bound, cert = density_witness(x, Fraction(1, 16), R, RHO, extension_budget=2)
-    assert cert.kind == APPROXIMATE
+    assert cert.kind == NOT_CERTIFIED
     assert cert.delta == 1 - max(e.coords)
     assert cert.delta > Fraction(1, 100)  # two steps cannot reach 0.99 from 2/5
 
@@ -495,15 +520,15 @@ def _partially_shared(depth: int, seed: int = 5):
 
 
 def test_hausdorff_shared_legs_skip_kernel(monkeypatch):
-    # Record the fans the kernel converts to arrays, leaving out the
+    # Record the legs the kernel converts to arrays, leaving out the
     # padding computation, which covers all of a's legs by design.
     seen, in_padding = [], []
     leg_arrays, resolution = analysis._leg_arrays, analysis.sample_resolution
 
-    def recording_leg_arrays(fan):
+    def recording_leg_arrays(legs):
         if not in_padding:
-            seen.append(fan)
-        return leg_arrays(fan)
+            seen.append(legs)
+        return leg_arrays(legs)
 
     def padding_resolution(fan, grid):
         in_padding.append(True)
@@ -525,14 +550,14 @@ def test_hausdorff_shared_legs_skip_kernel(monkeypatch):
     leg = f_fan.legs[-1]
     halved = FanApprox(F, 4, (Leg(leg.word, leg.prefix_products, leg.t_max / 2),))
     directed_hausdorff(halved, f_fan, grid=8)
-    assert [fan.legs for fan in seen if fan is not f_fan] == [halved.legs]
+    assert [legs for legs in seen if legs is not f_fan.legs] == [halved.legs]
     seen.clear()
 
     a, b = _partially_shared(4)
     shared = set(a.legs) & set(b.legs)
     assert 0 < len(shared) < len(a.legs)
     directed_hausdorff(a, b, grid=8)
-    assert [fan.legs for fan in seen if fan is not b] == [
+    assert [legs for legs in seen if legs is not b.legs] == [
         tuple(leg for leg in a.legs if leg not in shared)
     ]
 

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from lelekfan import greedy_sequence, load_fan, parse_scalar
+from lelekfan import (
+    enumerate_legs,
+    fan_relation,
+    greedy_sequence,
+    hausdorff,
+    line_pair_relation,
+    load_fan,
+    parse_scalar,
+)
 from lelekfan.cli import main
 
 
@@ -79,6 +87,39 @@ def test_build_budget_exit(capsys):
     code = main(["build", "--depth", "14", "--out", "/dev/null"])
     assert code == 4
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--budget", "0"], "budgets must be positive"),
+        (["build", "--depth", "-1"], "depth must be non-negative"),
+        (["build", "--depth", "-1", "--budget", "0"], "budgets must be positive"),
+        (["endpoints", "--depth", "-1"], "depth must be non-negative"),
+        (["density", "--budget", "0"], "budgets must be positive"),
+    ],
+    ids=["build-budget-0", "build-depth-negative", "budget-before-depth", "endpoints-depth-negative", "density-budget-0"],
+)
+def test_non_positive_budget_or_negative_depth_exits_3(capsys, tmp_path, argv, message):
+    out = tmp_path / "out.json"
+    if argv[0] == "build":
+        argv = argv + ["--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_build_line_pair_relation(capsys, tmp_path):
+    out = tmp_path / "lrr.json"
+    code, data = run(capsys, "build", "--relation", "Lrr", "--depth", "3", "--out", str(out))
+    assert code == 0
+    assert data["relation"] == "Lrr" and data["legs"] == 8
+    fan = load_fan(out)
+    assert fan.relation.slopes == (Fraction(1, 2), Fraction(3))
+    assert len(fan.legs) == 8
 
 
 def test_build_sampled(capsys, tmp_path):
@@ -200,6 +241,22 @@ def test_hausdorff_output(capsys):
     assert code == 0
     assert 0 <= data["lower"] <= data["upper"]
     assert data["resolution"] > 0
+
+
+def test_hausdorff_full_to_line_pair(capsys):
+    code, data = run(
+        capsys,
+        "hausdorff", "--a", "F", "--b", "Lrr", "--depth", "3", "--grid", "6",
+    )
+    assert code == 0
+    assert data["relation_b"] == "Lrr"
+    # L's legs are F legs, but F's diagonal legs are not L legs.
+    assert 0 < data["lower"] <= data["upper"]
+    r, rho = Fraction(1, 2), Fraction(3)
+    expected = hausdorff(
+        enumerate_legs(fan_relation(r, rho), 3), enumerate_legs(line_pair_relation(r, rho), 3), 6
+    )
+    assert (data["lower"], data["upper"]) == expected
 
 
 def test_render_from_file(capsys, tmp_path):

@@ -114,6 +114,12 @@ def test_build_leg_examples():
     assert small.t_max == 1
 
 
+def test_build_leg_rejects_non_positive_symbols():
+    for symbols in ((0,), (Fraction(1, 2), Fraction(-3))):
+        with pytest.raises(DomainError, match="word symbols must be positive"):
+            build_leg(Word(symbols))
+
+
 def test_leg_point_examples():
     leg = build_leg(Word((Fraction(3), Fraction(1, 2), Fraction(3))))
     assert leg_point(leg, 0).coords == (0, 0, 0, 0)
@@ -314,6 +320,15 @@ def test_fan_approx_depth_validation():
     leg = build_leg(Word((R,)))
     with pytest.raises(ShapeError):
         FanApprox(F, 2, (leg,))
+    with pytest.raises(DomainError, match="depth must be non-negative"):
+        FanApprox(F, -1, ())
+
+
+def test_negative_depth_is_domain_error():
+    with pytest.raises(DomainError, match="depth must be non-negative"):
+        enumerate_legs(F, -1)
+    with pytest.raises(DomainError, match="depth must be non-negative"):
+        sample_legs(F, -1, 3, seed=0)
 
 
 def test_leg_file_round_trip(tmp_path):

@@ -32,6 +32,12 @@ def test_dependent_pair_four_ninths():
     assert power(Fraction(4, 9), 3) == power(Fraction(27, 8), -2) == Fraction(64, 729)
 
 
+def test_verdict_has_a_witness_exactly_when_dependent():
+    for is_nc, witness in ((True, (1, 1)), (False, None)):
+        with pytest.raises(ValueError, match="witness must be present exactly"):
+            NcVerdict(is_nc, witness)
+
+
 def test_witness_reevaluates_exactly():
     for r, rho in [(Fraction(1, 2), Fraction(4)), (Fraction(2, 3), Fraction(9, 4)), (Fraction(8, 27), Fraction(9, 4))]:
         verdict = check_nc(r, rho)

@@ -105,6 +105,10 @@ def test_config_validation():
         RenderConfig(width=0)
     with pytest.raises(DomainError):
         render_fan(enumerate_legs(F, 2), RenderConfig(stroke_width=-1.0))
+    with pytest.raises(DomainError, match="empty fan"):
+        render_fan(FanApprox(F, 2, ()))
+    with pytest.raises(DomainError, match="unknown angle map: 'spiral'"):
+        angle_fractions(enumerate_legs(F, 2), "spiral")
     for width in (float("nan"), float("inf"), float("-inf"), 0.0):
         with pytest.raises(DomainError, match="stroke width"):
             RenderConfig(stroke_width=width)
