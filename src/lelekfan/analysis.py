@@ -99,27 +99,33 @@ def greedy_sequence(
     `stop_when` is given the climb stops early once the running maximum
     reaches it, so traces stay short. Requires 0 < x < 1, steps >= 0 and an
     NC pair.
+
+    Each step costs one Fraction multiply, by the chosen slope: the test
+    rho * current <= 1 and the running-maximum update are integer
+    cross-multiplications (denominators are positive), and only an update
+    of the running maximum is compared with `stop_when`.
     """
     x = _climb_start(x, steps)
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
+    rho_num, rho_den = rho.numerator, rho.denominator
     symbols: list[Fraction] = []
     partials: list[Fraction] = []
     current = x
     running = x
+    run_num, run_den = x.numerator, x.denominator
     if stop_when is not None and running >= stop_when:
         steps = 0
     for _ in range(steps):
-        up = current * rho
-        # Denominators are positive, so up <= 1 is an integer comparison.
-        if up.numerator <= up.denominator:
+        if current.numerator * rho_num <= current.denominator * rho_den:
+            current = current * rho
             symbols.append(rho)
-            partials.append(up)
-            current = up
+            partials.append(current)
             # r < 1 (require_nc), so only a rho-step can raise the running max,
             # and only then can it reach stop_when.
-            if current > running:
-                running = current
+            num, den = current.numerator, current.denominator
+            if num * run_den > run_num * den:
+                running, run_num, run_den = current, num, den
                 if stop_when is not None and running >= stop_when:
                     break
         else:
@@ -292,6 +298,8 @@ def _point_on(leg, rng: random.Random) -> PointPrefix:
 
 def sample_points(fan: FanApprox, count: int, seed: int) -> list[PointPrefix]:
     """Deterministic point sample: per draw a uniform leg index, then a uniform grid parameter."""
+    if count < 0:
+        raise DomainError("count must be non-negative")
     legs = fan.legs
     if not legs:
         raise DomainError("a fan with no legs has no points to sample")
@@ -306,6 +314,8 @@ def sample_deep_points(relation: RelationSpec, depth: int, count: int, seed: int
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
+    if count < 0:
+        raise DomainError("count must be non-negative")
     rng = random.Random(seed)
     return [_point_on(build_leg(draw_word(rng, relation, depth)), rng) for _ in range(count)]
 

@@ -22,6 +22,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, FormatError, RangeError, ResourceError, ShapeError
 from .scalars import format_scalar, parse_scalar
@@ -155,15 +156,28 @@ class FanApprox:
 def membership(point: PointPrefix, relation: RelationSpec) -> bool:
     """True when every consecutive coordinate pair lies on one of the relation's lines.
 
-    (0, 0) pairs lie on every line through the origin and are accepted
-    without any division.
+    (0, 0) pairs lie on every line through the origin and are accepted;
+    any other pair with a zero coordinate lies on none. A pair (x, y) of
+    non-zero coordinates lies on the line of slope s = sn/sd when y equals
+    x * s, tested without any Fraction division: x * s is reduced by
+    gcd(xn, sd) and gcd(sn, xd), cheap while slopes are small, and
+    reduced forms are unique, so its numerator and denominator must be
+    y's.
     """
+    slopes = [(s.numerator, s.denominator) for s in relation.slopes]
     coords = point.coords
     for x, y in zip(coords, coords[1:]):
-        if x == 0:
-            if y != 0:
+        xn, xd = x.numerator, x.denominator
+        yn, yd = y.numerator, y.denominator
+        if xn == 0 or yn == 0:
+            if xn != yn:
                 return False
-        elif y / x not in relation.slopes:
+            continue
+        for sn, sd in slopes:
+            g1, g2 = gcd(xn, sd), gcd(sn, xd)
+            if (xn // g1) * (sn // g2) == yn and (xd // g2) * (sd // g1) == yd:
+                break
+        else:
             return False
     return True
 
@@ -259,6 +273,8 @@ def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tu
     """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed."""
     if depth < 0:
         raise DomainError("depth must be non-negative")
+    if count < 0:
+        raise DomainError("count must be non-negative")
     rng = random.Random(seed)
     return tuple(build_leg(draw_word(rng, relation, depth)) for _ in range(count))
 
@@ -271,7 +287,9 @@ def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction
         value = sum_k 2^-(k+1) * |p_k - q_k|,   tail = 2^-len,
 
     so any infinite extensions of p and q (coordinates in [0,1]) are at a
-    distance within [value, value + tail].
+    distance within [value, value + tail]. Equal coordinates (Fractions are
+    reduced, so equal numerators and denominators) add nothing and are
+    skipped; every other term is built as one Fraction from integers.
     """
     if len(p.coords) != len(q.coords):
         raise ShapeError(
@@ -279,7 +297,9 @@ def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction
         )
     value = Fraction(0)
     for k, (a, b) in enumerate(zip(p.coords, q.coords)):
-        value += abs(a - b) / (1 << (k + 1))
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        if an != bn or ad != bd:
+            value += Fraction(abs(an * bd - bn * ad), (ad * bd) << (k + 1))
     tail = Fraction(1, 1 << len(p.coords))
     return value, tail
 

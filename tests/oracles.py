@@ -226,6 +226,14 @@ def leg_reference(symbols) -> Leg:
     return Leg(Word(tuple(symbols)), products, 1 / max((Fraction(1), *products)))
 
 
+def membership_reference(point, relation) -> bool:
+    """Membership by its definition: a pair with a zero is (0, 0), any other has y / x a slope."""
+    coords = point.coords
+    return all(
+        y == 0 if x == 0 else y / x in relation.slopes for x, y in zip(coords, coords[1:])
+    )
+
+
 def enumerate_legs_reference(relation, depth: int) -> tuple:
     """Every word of the given depth in lexicographic slope order, each built from scratch."""
     return tuple(

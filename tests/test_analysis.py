@@ -467,6 +467,15 @@ def test_sample_points_draw_order():
         assert points == expected
 
 
+def test_sample_points_negative_count_is_domain_error():
+    with pytest.raises(DomainError, match="count must be non-negative"):
+        sample_points(enumerate_legs(F, 3), -3, seed=0)
+    with pytest.raises(DomainError, match="count must be non-negative"):
+        sample_deep_points(F, 3, -2, seed=0)
+    assert sample_points(enumerate_legs(F, 3), 0, seed=0) == []
+    assert sample_deep_points(F, 3, 0, seed=0) == []
+
+
 def test_sample_points_no_legs_is_domain_error():
     with pytest.raises(DomainError, match="no legs"):
         sample_points(FanApprox(F, 3, ()), 5, seed=1)

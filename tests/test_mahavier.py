@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import enumerate_legs_reference, leg_reference
+from oracles import enumerate_legs_reference, leg_reference, membership_reference
 
 from lelekfan import (
+    DENSITY_EPSILONS,
     DomainError,
     FanApprox,
     FormatError,
@@ -21,6 +22,7 @@ from lelekfan import (
     Word,
     build_leg,
     cantor_relation,
+    density_witness,
     enumerate_legs,
     fan_from_dict,
     fan_relation,
@@ -30,6 +32,7 @@ from lelekfan import (
     line_pair_relation,
     load_fan,
     membership,
+    sample_deep_points,
     sample_legs,
     save_fan,
     truncated_metric,
@@ -144,6 +147,72 @@ def test_leg_points_pass_membership():
         leg = fan.legs[rng.randrange(len(fan.legs))]
         t = leg.t_max * rng.randint(0, 64) / 64
         assert membership(leg_point(leg, t), F)
+
+
+def _leg_points(relation, depth: int) -> list:
+    """Points at t_max/7 and t_max of every third leg: no zero coordinate, ends at 1."""
+    legs = enumerate_legs(relation, depth).legs[::3]
+    return [leg_point(leg, leg.t_max * k / 7) for leg in legs for k in (1, 7)]
+
+
+def _witnesses() -> list:
+    """Density witnesses of (5/7, 11/4) at depth 40: long climbs, ~1500-bit denominators."""
+    r, rho = Fraction(5, 7), Fraction(11, 4)
+    points = sample_deep_points(fan_relation(r, rho), 40, 6, seed=11)
+    return [density_witness(x, eps, r, rho)[0] for x in points for eps in DENSITY_EPSILONS]
+
+
+def _non_members(point: PointPrefix) -> list:
+    """Points made from a member with no zero coordinate, each off the member's relation."""
+    c = point.coords
+    i = len(c) // 2
+    made = [
+        PointPrefix(c[:i] + (c[i] * Fraction(6, 7),) + c[i + 1 :]),
+        PointPrefix((0,) * i + c[i:]),
+    ]
+    j = next((k for k in range(len(c) - 1) if c[k] != c[k + 1]), None)
+    if j is not None:
+        made.append(PointPrefix(c[:j] + (c[j + 1], c[j]) + c[j + 2 :]))
+    return made
+
+
+def test_membership_matches_definition():
+    W = fan_relation(Fraction(5, 7), Fraction(11, 4))
+    relations = (F, G, L, Q, W)
+    own = [(p, F) for p in _leg_points(F, 5)]
+    own += [(p, G) for p in _leg_points(G, 7)] + [(p, L) for p in _leg_points(L, 6)]
+    own += [(p, W) for p in _witnesses()]
+    assert max(c.denominator for p, _ in own for c in p.coords).bit_length() > 1000
+    made = [(q, relation) for p, relation in own for q in _non_members(p)]
+    # F-points whose word uses the slope 3, tested against G.
+    off_g = [p for p in _leg_points(F, 5) if any(y > x for x, y in zip(p.coords, p.coords[1:]))]
+    assert off_g
+    for p, relation in own:
+        assert membership(p, relation) and membership_reference(p, relation)
+    for q, relation in made:
+        assert not membership(q, relation) and not membership_reference(q, relation)
+    for p in off_g:
+        assert not membership(p, G) and not membership_reference(p, G)
+    every = [p for p, _ in own] + [q for q, _ in made] + off_g
+    for p in every:
+        # The same point as equal-but-distinct Fractions, and a relation of fresh slopes.
+        copy = PointPrefix(tuple(Fraction(c.numerator, c.denominator) for c in p.coords))
+        for relation in relations:
+            fresh = RelationSpec(tuple(Fraction(s.numerator, s.denominator) for s in relation.slopes))
+            expected = membership_reference(p, relation)
+            assert membership(p, relation) is expected
+            assert membership(copy, fresh) is expected
+    # Coordinates given as ints.
+    for coords, relation, expected in [
+        ((1, 1, 1), G, True),
+        ((0, 0, 1), F, False),
+        ((1, 0, 0), F, False),
+        ((0, 0, 0), L, True),
+        ((1, 1), L, False),
+        ((Fraction(1, 3), 1, 1), F, True),
+    ]:
+        point = PointPrefix(coords)
+        assert membership(point, relation) is membership_reference(point, relation) is expected
 
 
 def test_enumerate_depth_one_caps():
@@ -274,6 +343,35 @@ def test_truncated_metric_examples():
     assert value == 0
 
 
+def test_truncated_metric_matches_definition():
+    rng = random.Random(17)
+
+    def coord(bits: int) -> Fraction:
+        d = rng.randrange(1, 1 << bits)
+        return Fraction(rng.randint(0, d), d)
+
+    pairs = []
+    for n, bits in [(1, 4), (6, 8), (12, 64), (40, 256)]:
+        for _ in range(10):
+            p = tuple(coord(bits) for _ in range(n))
+            q = tuple(coord(bits) for _ in range(n))
+            shared = tuple(a if rng.random() < 0.5 else b for a, b in zip(p, q))
+            copies = tuple(Fraction(a.numerator, a.denominator) for a in p)
+            mixed = tuple(a if rng.random() < 0.5 else b for a, b in zip(copies, q))
+            pairs += [(p, q), (p, shared), (shared, q), (p, copies), (copies, mixed), (p, p)]
+    # The last 40 coordinates of each witness (up to ~1500-bit denominators)
+    # against the 40 before them, shifted by one.
+    witness_pairs = [(w.coords[-40:], w.coords[-41:-1]) for w in _witnesses() if len(w) > 40]
+    for a, b in pairs + witness_pairs:
+        expected = sum((abs(x - y) / 2 ** (k + 1) for k, (x, y) in enumerate(zip(a, b))), Fraction(0))
+        value, tail = truncated_metric(PointPrefix(a), PointPrefix(b))
+        assert type(value) is Fraction and type(tail) is Fraction
+        assert value == expected
+        assert tail == Fraction(1, 2 ** len(a))
+        if a == b:
+            assert value == 0
+
+
 def test_truncated_metric_shape_error():
     with pytest.raises(ShapeError):
         truncated_metric(PointPrefix((0, 0)), PointPrefix((0, 0, 0)))
@@ -329,6 +427,12 @@ def test_negative_depth_is_domain_error():
         enumerate_legs(F, -1)
     with pytest.raises(DomainError, match="depth must be non-negative"):
         sample_legs(F, -1, 3, seed=0)
+
+
+def test_negative_count_is_domain_error():
+    with pytest.raises(DomainError, match="count must be non-negative"):
+        sample_legs(F, 3, -2, seed=0)
+    assert sample_legs(F, 3, 0, seed=0) == ()
 
 
 def test_leg_file_round_trip(tmp_path):
