@@ -29,6 +29,7 @@ from .mahavier import (
     enumerate_legs,
     fan_relation,
     leg_point,
+    membership,
     truncated_metric,
     word_formatter,
     DEFAULT_ENUM_BUDGET,
@@ -245,7 +246,10 @@ def density_witness(
     witness instead holds a small diagonal seed (epsilon * 2^-(k0+2)) for
     k0 steps before climbing, which keeps its early coordinates under
     epsilon. Both scaling slopes and the diagonal belong to the three-slope
-    relation, so every witness passes membership against it.
+    relation, so every witness passes membership against it. That needs x
+    itself to pass it, since the witness keeps x's prefix: a point outside
+    the relation is a DomainError, checked after the NC condition on
+    (r, rho), which every input must meet, an exact one included.
 
     Returns (e, bound, verdict): `bound` is the exactly computed metric
     value over the common prefix plus its tail, always <= epsilon, and the
@@ -256,6 +260,9 @@ def density_witness(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    require_nc(r, rho)
+    if not membership(x, fan_relation(r, rho)):
+        raise DomainError("x is not a point of the three-slope relation")
     verdict = classify_endpoint(x, delta)
     if verdict.kind == EXACT:
         return x, Fraction(0), verdict
@@ -383,51 +390,45 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
 _TILE = 2**15
 
 
-def _min_distances(pts, pts_w, dirs_b, dirs_bw, caps_b):
+def _min_distances(pts_w, dirs_bw, caps_b):
     """Per far end: the min distance over all of b's legs.
 
-    `pts` and `pts_w` (the far ends, plain and weighted) are (points, coords);
-    `dirs_b`, `dirs_bw` (legs, coords) and `caps_b` (legs) describe b's legs.
-    The distance to one leg is minimized at a candidate parameter: a
-    per-coordinate breakpoint clipped to the leg, the cap, or 0.
+    `pts_w` (points, coords) holds the far ends x and `dirs_bw` (legs,
+    coords) the directions v of b's legs, coordinate k scaled by
+    w_k = 2^-(k+1); `caps_b` (legs) holds the caps c. The distance
+    f(s) = sum_k |w_k x_k - s w_k v_k| is convex and piecewise linear, with
+    kinks b_k = x_k / v_k, all positive: f falls strictly near 0, and if the
+    cap minimizes f then some b_k >= c (else f rises strictly on
+    [max b_k, c]). So the min over [0, c] is at one candidate per
+    coordinate, min(b_k, c). Power-of-two scaling is exact while the
+    weighted values stay normal floats, so b_k comes from them bit for bit.
 
-    Parameter 0 is the origin on every leg, so its distance, sum_k |w_k a_k|,
-    is summed once per far end and seeds the running mins. The other
-    candidates go through tiles that cut both the far ends and b's legs,
-    each at most _TILE elements per work array (one point by one leg when a
-    single leg's candidates exceed it). Three work arrays (candidates, term
-    and sum) are allocated once per call and every tile writes into views of
-    them, so memory is bounded by the tile, not by the fans.
-
-    The floats are those of the untiled evaluation: each candidate's distance
-    is summed in the same coordinate order from 0.0, the origin's terms are
-    |w_k a_k - 0.0 * w_k v_k| = |w_k a_k| exactly, and min does not round.
+    Tiles cut both the far ends and b's legs, each at most _TILE elements
+    per work array (one point by one leg when a single leg's candidates
+    exceed it). Three work arrays (candidates, term and sum) are allocated
+    once per call and every tile writes into views of them, so memory is
+    bounded by the tile, not by the fans. The floats are those of the
+    untiled evaluation: each candidate's distance is summed in the same
+    coordinate order from 0.0, and min does not round.
     """
-    n_pts, n_coords = pts.shape
-    n_legs = dirs_b.shape[0]
-    n_cand = n_coords + 1
-    legs_per_tile = min(n_legs, max(1, _TILE // n_cand))
-    pts_per_tile = min(n_pts, max(1, _TILE // (legs_per_tile * n_cand)))
-    size = pts_per_tile * legs_per_tile * n_cand
+    n_pts, n_coords = pts_w.shape
+    n_legs = dirs_bw.shape[0]
+    legs_per_tile = min(n_legs, max(1, _TILE // n_coords))
+    pts_per_tile = min(n_pts, max(1, _TILE // (legs_per_tile * n_coords)))
+    size = pts_per_tile * legs_per_tile * n_coords
     cand_buf, term_buf, dist_buf = np.empty(size), np.empty(size), np.empty(size)
-    mins = np.zeros(n_pts)
-    for k in range(n_coords):
-        mins += np.abs(pts_w[:, k])
+    mins = np.full(n_pts, np.inf)
     for p0 in range(0, n_pts, pts_per_tile):
         p1 = min(p0 + pts_per_tile, n_pts)
         for l0 in range(0, n_legs, legs_per_tile):
             l1 = min(l0 + legs_per_tile, n_legs)
-            shape = (p1 - p0, l1 - l0, n_cand)
-            used = shape[0] * shape[1] * n_cand
+            shape = (p1 - p0, l1 - l0, n_coords)
+            used = shape[0] * shape[1] * n_coords
             cand = cand_buf[:used].reshape(shape)
             term = term_buf[:used].reshape(shape)
             dist = dist_buf[:used].reshape(shape)
-            caps = caps_b[l0:l1]
-            breaks = cand[:, :, :n_coords]
-            np.divide(pts[p0:p1, None, :], dirs_b[l0:l1], out=breaks)
-            np.minimum(breaks, caps[:, None], out=breaks)
-            np.maximum(breaks, 0.0, out=breaks)
-            cand[:, :, n_coords] = caps
+            np.divide(pts_w[p0:p1, None, :], dirs_bw[l0:l1], out=cand)
+            np.minimum(cand, caps_b[l0:l1, None], out=cand)
             dist.fill(0.0)
             for k in range(n_coords):
                 np.multiply(cand, dirs_bw[l0:l1, None, k], out=term)
@@ -459,13 +460,13 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     the distance to b: the point lam*s*v of the b-leg nearest to x stays on
     that leg, and |lam*x - lam*s*v| = lam*|x - s*v|. Each leg's far end
     (t = t_max) is therefore measured against all of b, and nothing else.
-    The distance from a fixed point to one leg of b is a convex
-    piecewise-linear function of the leg parameter, minimized at a
-    breakpoint x_k / P_k or at an endpoint, so it is evaluated without grid
-    error. A leg of a that equals a leg of b is at distance exactly 0 and
-    is skipped; when every leg is shared the result is (0.0, padding). The
-    kernel works in fixed-size tiles, so its memory is bounded by the tile,
-    not by the size of either fan.
+    The distance from a far end to one leg of b is convex and piecewise
+    linear in the leg parameter, minimized at a kink x_k / P_k clipped to
+    the leg's cap (one candidate per coordinate, see _min_distances), so it
+    is evaluated without grid error. A leg of a that equals a leg of b is
+    at distance exactly 0 and is skipped; when every leg is shared the
+    result is (0.0, padding). The kernel works in fixed-size tiles, so its
+    memory is bounded by the tile, not by the size of either fan.
 
     `grid` sets only the padding: the upper bound adds half of a's
     grid spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
@@ -485,8 +486,8 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     dirs_b, caps_b = _leg_arrays(b.legs)
     dirs_a, caps_a = _leg_arrays(unshared)
     # Weights fold into the data: sum_k w_k |a_k - s v_k| = sum_k |w_k a_k - s w_k v_k|.
-    far = caps_a[:, None] * dirs_a
-    worst = float(_min_distances(far, far * weights, dirs_b, dirs_b * weights, caps_b).max())
+    far_w = caps_a[:, None] * dirs_a * weights
+    worst = float(_min_distances(far_w, dirs_b * weights, caps_b).max())
     return worst, worst + padding
 
 

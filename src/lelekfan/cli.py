@@ -120,12 +120,17 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_endpoints(args) -> int:
+    # Tolerances first, so an empty fan cannot echo an invalid one.
+    delta = parse_scalar(args.delta)
+    if delta < 0:
+        raise DomainError("delta must be non-negative")
+    threshold = parse_scalar(args.degeneracy_threshold)
+    if threshold < 0:
+        raise DomainError("degeneracy threshold must be non-negative")
     if args.infile:
         fan = mahavier.load_fan(args.infile)
     else:
         fan = _build_fan(args, args.relation)
-    delta = parse_scalar(args.delta)
-    threshold = parse_scalar(args.degeneracy_threshold)
     kinds = dict.fromkeys((analysis.EXACT, analysis.APPROXIMATE, analysis.NOT_CERTIFIED), 0)
     legs_report = []
     degenerating = 0

@@ -328,8 +328,25 @@ def test_density_witness_prefix_too_short():
 
 
 def test_density_witness_requires_nc():
-    with pytest.raises(NcViolation):
-        density_witness(PointPrefix((Fraction(2, 5),) * 8), Fraction(1, 16), R, Fraction(2))
+    # The exact point (its second coordinate is 1) is checked too, not returned.
+    exact = PointPrefix((Fraction(1, 3), Fraction(1)) + tuple(Fraction(1, 2**k) for k in range(1, 9)))
+    for x in (PointPrefix((Fraction(2, 5),) * 8), exact):
+        with pytest.raises(NcViolation):
+            density_witness(x, Fraction(1, 16), R, Fraction(2))
+
+
+def test_density_witness_rejects_points_outside_the_relation():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    points = [
+        (half, half, half) + (0,) * 9,  # a non-zero coordinate followed by 0
+        (half, 0, 0, third) + (0,) * 8,  # 0 followed by a non-zero coordinate
+        (Fraction(1, 5), 1) + (half,) * 10,  # slope 5, and exact: no shortcut
+    ]
+    for coords in points:
+        x = PointPrefix(coords)
+        assert not membership(x, F)
+        with pytest.raises(DomainError, match="not a point of the three-slope relation"):
+            density_witness(x, Fraction(1, 16), R, RHO)
 
 
 def test_density_witness_short_budget_reports_not_certified():
@@ -623,18 +640,21 @@ def _crossed_pairs(depth: int):
 
 
 def _far_ends(legs):
-    # The kernel's far-end sample: (t_max * 1.0) * P_k, P_0 = 1.
-    return [[float(leg.t_max) * float(p) for p in (1,) + leg.prefix_products] for leg in legs]
+    # The kernel's weighted far-end sample: ((t_max * 1.0) * P_k) * 2^-(k+1), P_0 = 1.
+    return [
+        [float(leg.t_max) * float(p) * 2.0 ** -(k + 1) for k, p in enumerate((1,) + leg.prefix_products)]
+        for leg in legs
+    ]
 
 
 def _record_full_path(monkeypatch):
-    # Record the sample rows that go through the all-of-b helper.
+    # Record the weighted sample rows that go through the all-of-b helper.
     seen = []
     min_distances = analysis._min_distances
 
-    def recording(pts, *rest):
-        seen.append(pts.tolist())
-        return min_distances(pts, *rest)
+    def recording(pts_w, *rest):
+        seen.append(pts_w.tolist())
+        return min_distances(pts_w, *rest)
 
     monkeypatch.setattr(analysis, "_min_distances", recording)
     return seen
@@ -654,28 +674,22 @@ def test_hausdorff_only_far_ends_reach_full_min(monkeypatch):
         assert lower > 0.0, name
 
 
-def _reference_fans(depth: int):
-    f_fan = enumerate_legs(F, depth)
+def _reference_fans(depth: int, r=R, rho=RHO):
+    f_fan = enumerate_legs(fan_relation(r, rho), depth)
     legs = list(f_fan.legs)
     random.Random(depth).shuffle(legs)
     return {
         "F": f_fan,
-        "G": enumerate_legs(cantor_relation(R), depth),
-        "L": enumerate_legs(line_pair_relation(R, RHO), depth),
-        "H1": FanApprox(F, depth, tuple(legs[: len(legs) // 2])),
-        "H2": FanApprox(F, depth, tuple(legs[len(legs) // 2 :])),
+        "G": enumerate_legs(cantor_relation(r), depth),
+        "L": enumerate_legs(line_pair_relation(r, rho), depth),
+        "H1": FanApprox(f_fan.relation, depth, tuple(legs[: len(legs) // 2])),
+        "H2": FanApprox(f_fan.relation, depth, tuple(legs[len(legs) // 2 :])),
     }
 
 
-@pytest.mark.parametrize("depth", [2, 3, 4, 5])
-def test_hausdorff_matches_all_samples_reference(depth):
-    # Far ends only against every grid sample of every leg, in float.hex.
-    # Depth 5 keeps the crossed pairs and their reverses, to bound run time.
-    fans = _reference_fans(depth)
-    if depth < 5:
-        names = [(a, b) for a in fans for b in fans]
-    else:
-        names = [("F", "L"), ("L", "F"), ("G", "L"), ("L", "G"), ("F", "G"), ("G", "F"), ("H1", "H2"), ("H2", "H1")]
+def _assert_matches_all_samples(fans, names):
+    # Far ends only, one candidate per coordinate, against every grid sample
+    # of every leg with 0 and the cap as extra candidates, in float.hex.
     for grid in (1, 3, 8, 16):
         reference = {(a, b): hausdorff_all_samples_float(fans[a], fans[b], grid) for a, b in names}
         for (a, b), expected in reference.items():
@@ -688,6 +702,52 @@ def test_hausdorff_matches_all_samples_reference(depth):
                     max(expected[0], back[0]).hex(),
                     max(expected[1], back[1]).hex(),
                 ], (a, b, grid)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_hausdorff_matches_all_samples_reference(depth):
+    # Depth 5 keeps the crossed pairs and their reverses, to bound run time.
+    fans = _reference_fans(depth)
+    if depth < 5:
+        names = [(a, b) for a in fans for b in fans]
+    else:
+        names = [("F", "L"), ("L", "F"), ("G", "L"), ("L", "G"), ("F", "G"), ("G", "F"), ("H1", "H2"), ("H2", "H1")]
+    _assert_matches_all_samples(fans, names)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("r, rho", [("5/7", "11/4"), ("1/10", "11")])
+def test_hausdorff_matches_all_samples_reference_other_slopes(r, rho, depth):
+    # A slope near 1 and a pair far apart move the kinks relative to the caps.
+    fans = _reference_fans(depth, Fraction(r), Fraction(rho))
+    _assert_matches_all_samples(fans, [(a, b) for a in fans for b in fans])
+
+
+def test_kink_candidates_reach_the_min():
+    # Exact Fractions: for a far end x and a leg s -> s*v, 0 <= s <= c, with
+    # every x_k and v_k positive, the min of f(s) = sum_k w_k |x_k - s v_k|
+    # over {0, min(b_k, c), c} equals its min over the kinks min(b_k, c) alone.
+    rng = random.Random(15)
+
+    def positive():
+        return Fraction(rng.randint(1, 60), rng.randint(1, 60))
+
+    def f(x, v, s):
+        return sum(abs(xk - s * vk) / (1 << (k + 1)) for k, (xk, vk) in enumerate(zip(x, v)))
+
+    caps_seen = {"below": 0, "between": 0, "above": 0}
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        x = [positive() for _ in range(n)]
+        v = [Fraction(1)] + [positive() for _ in range(n - 1)]
+        kinks = [xk / vk for xk, vk in zip(x, v)]
+        low, high = min(kinks), max(kinks)
+        below, above = low * Fraction(rng.randint(1, 99), 100), high * Fraction(rng.randint(101, 300), 100)
+        c = rng.choice([below, above, positive()])
+        caps_seen["below" if c < low else "above" if c > high else "between"] += 1
+        clipped = {min(b, c) for b in kinks}
+        assert min(f(x, v, s) for s in clipped | {Fraction(0), c}) == min(f(x, v, s) for s in clipped), (x, v, c)
+    assert min(caps_seen.values()) > 0, caps_seen
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5])

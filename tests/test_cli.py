@@ -97,13 +97,35 @@ def test_build_budget_exit(capsys):
         (["build", "--depth", "-1", "--budget", "0"], "budgets must be positive"),
         (["endpoints", "--depth", "-1"], "depth must be non-negative"),
         (["density", "--budget", "0"], "budgets must be positive"),
+        (["endpoints", "--delta", "-1"], "delta must be non-negative"),
+        (["endpoints", "--degeneracy-threshold", "-5"], "degeneracy threshold must be non-negative"),
+        (["endpoints", "--in", "EMPTY", "--delta", "-1"], "delta must be non-negative"),
+        (
+            ["endpoints", "--in", "EMPTY", "--degeneracy-threshold", "-5"],
+            "degeneracy threshold must be non-negative",
+        ),
     ],
-    ids=["build-budget-0", "build-depth-negative", "budget-before-depth", "endpoints-depth-negative", "density-budget-0"],
+    ids=[
+        "build-budget-0",
+        "build-depth-negative",
+        "budget-before-depth",
+        "endpoints-depth-negative",
+        "density-budget-0",
+        "endpoints-delta-negative",
+        "endpoints-threshold-negative",
+        "endpoints-empty-file-delta-negative",
+        "endpoints-empty-file-threshold-negative",
+    ],
 )
 def test_non_positive_budget_or_negative_depth_exits_3(capsys, tmp_path, argv, message):
     out = tmp_path / "out.json"
     if argv[0] == "build":
         argv = argv + ["--out", str(out)]
+    if "EMPTY" in argv:
+        # A leg file with no legs: no leg's verdict can reject the tolerances.
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"relation": {"slopes": ["1/2", "1", "3"]}, "depth": 3, "legs": []}))
+        argv = [str(empty) if a == "EMPTY" else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
