@@ -12,11 +12,11 @@ controlled by the metric tail.
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, ResourceError, ShapeError
 from .mahavier import (
@@ -355,20 +355,47 @@ def density_sweep(
     return failures, max_bound, worst_delta
 
 
-def _leg_arrays(legs):
-    # Direction vectors (1, P_1, ..., P_n) per leg, plus the parameter caps.
-    dirs = np.array([[1.0] + [float(p) for p in leg.prefix_products] for leg in legs])
-    caps = np.array([float(leg.t_max) for leg in legs])
-    return dirs, caps
-
-
-def _metric_weights(depth: int):
-    return np.array([2.0 ** -(k + 1) for k in range(depth + 1)])
-
-
 def _require_legs(fan: FanApprox) -> None:
     if not fan.legs:
         raise DomainError("a fan with no legs has no Hausdorff distance")
+
+
+def _checked_float(p: Fraction, weight: float) -> float:
+    """p as a float, n / d on its integers as float() computes it.
+
+    DomainError unless the weighted value weight * p is a positive finite
+    float: a product that overflows, or one that underflows to 0 once
+    weighted, would turn a kink x_k / v_k into inf or nan.
+    """
+    try:
+        value = p.numerator / p.denominator
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value * weight < math.inf:
+        raise DomainError(
+            "a prefix product overflows a float or underflows to 0 once weighted; "
+            "the float Hausdorff enclosure cannot measure this fan"
+        )
+    return value
+
+
+def _float_rows(legs, weights):
+    """Per leg: its products (1.0, P_1, ..., P_n) and its cap t_max, as floats.
+
+    Each prefix product object is converted once, keyed by id: legs from
+    _grow_legs share their leading products.
+    """
+    floats: dict[int, float] = {}
+    tail = weights[1:]
+    for leg in legs:
+        row = [1.0]
+        for weight, p in zip(tail, leg.prefix_products):
+            value = floats.get(id(p))
+            if value is None:
+                value = floats[id(p)] = _checked_float(p, weight)
+            row.append(value)
+        cap = leg.t_max
+        yield row, cap.numerator / cap.denominator
 
 
 def sample_resolution(fan: FanApprox, grid: int) -> float:
@@ -376,79 +403,150 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
 
     A leg's point map t -> (t, P_1 t, ...) is Lipschitz with constant
     sum_k 2^-(k+1) P_k in the truncated metric, so every leg point is within
-    half this spacing of a grid sample.
+    half this spacing of a grid sample. The constant is accumulated from
+    0.0 in coordinate order, then times the cap, divided by grid.
     """
     if grid < 1:
         raise DomainError("grid must be a positive integer")
     _require_legs(fan)
-    dirs, caps = _leg_arrays(fan.legs)
-    weights = _metric_weights(fan.depth)
-    return float(np.max((dirs @ weights) * caps / grid))
+    weights = [2.0 ** -(k + 1) for k in range(fan.depth + 1)]
+    resolution = 0.0
+    for row, cap in _float_rows(fan.legs, weights):
+        lipschitz = 0.0
+        for p, weight in zip(row, weights):
+            lipschitz += p * weight
+        resolution = max(resolution, lipschitz * cap / grid)
+    return resolution
 
 
-# Elements per kernel work array: three of them fit in a 2 MiB L2 cache.
-_TILE = 2**15
+# Prune a trie node only when its float lower bound exceeds the best leg
+# found by more than this; see directed_hausdorff.
+_SLACK = 1e-12
 
 
-def _min_distances(pts_w, dirs_bw, caps_b):
-    """Per far end: the min distance over all of b's legs.
+class _Node:
+    """A node of the trie of b's words, at depth m.
 
-    `pts_w` (points, coords) holds the far ends x and `dirs_bw` (legs,
-    coords) the directions v of b's legs, coordinate k scaled by
-    w_k = 2^-(k+1); `caps_b` (legs) holds the caps c. The distance
-    f(s) = sum_k |w_k x_k - s w_k v_k| is convex and piecewise linear, with
-    kinks b_k = x_k / v_k, all positive: f falls strictly near 0, and if the
-    cap minimizes f then some b_k >= c (else f rises strictly on
-    [max b_k, c]). So the min over [0, c] is at one candidate per
-    coordinate, min(b_k, c). Power-of-two scaling is exact while the
-    weighted values stay normal floats, so b_k comes from them bit for bit.
-
-    Tiles cut both the far ends and b's legs, each at most _TILE elements
-    per work array (one point by one leg when a single leg's candidates
-    exceed it). Three work arrays (candidates, term and sum) are allocated
-    once per call and every tile writes into views of them, so memory is
-    bounded by the tile, not by the fans. The floats are those of the
-    untiled evaluation: each candidate's distance is summed in the same
-    coordinate order from 0.0, and min does not round.
+    `vs` is the weighted direction prefix (w_0 P_0, ..., w_m P_m) every leg
+    below shares and `cap` the largest cap below. Inner nodes map each
+    child's prefix product, by id, to the child; at depth n `kids` is None
+    and `caps` lists the distinct caps of the legs ending there.
     """
-    n_pts, n_coords = pts_w.shape
-    n_legs = dirs_bw.shape[0]
-    legs_per_tile = min(n_legs, max(1, _TILE // n_coords))
-    pts_per_tile = min(n_pts, max(1, _TILE // (legs_per_tile * n_coords)))
-    size = pts_per_tile * legs_per_tile * n_coords
-    cand_buf, term_buf, dist_buf = np.empty(size), np.empty(size), np.empty(size)
-    mins = np.full(n_pts, np.inf)
-    for p0 in range(0, n_pts, pts_per_tile):
-        p1 = min(p0 + pts_per_tile, n_pts)
-        for l0 in range(0, n_legs, legs_per_tile):
-            l1 = min(l0 + legs_per_tile, n_legs)
-            shape = (p1 - p0, l1 - l0, n_coords)
-            used = shape[0] * shape[1] * n_coords
-            cand = cand_buf[:used].reshape(shape)
-            term = term_buf[:used].reshape(shape)
-            dist = dist_buf[:used].reshape(shape)
-            np.divide(pts_w[p0:p1, None, :], dirs_bw[l0:l1], out=cand)
-            np.minimum(cand, caps_b[l0:l1, None], out=cand)
-            dist.fill(0.0)
-            for k in range(n_coords):
-                np.multiply(cand, dirs_bw[l0:l1, None, k], out=term)
-                np.subtract(pts_w[p0:p1, None, None, k], term, out=term)
-                np.abs(term, out=term)
-                dist += term
-            np.minimum(mins[p0:p1], dist.min(axis=(1, 2)), out=mins[p0:p1])
-    return mins
+
+    __slots__ = ("vs", "cap", "kids", "caps")
+
+    def __init__(self, vs: tuple[float, ...], leaf: bool):
+        self.vs = vs
+        self.cap = 0.0
+        self.kids = None if leaf else {}
+        self.caps = [] if leaf else None
+
+
+def _trie(legs, weights) -> _Node:
+    """The trie of the legs' words; each prefix product is converted once per node."""
+    depth = len(weights) - 1
+    root = _Node((weights[0],), depth == 0)
+    for leg in legs:
+        cap = leg.t_max.numerator / leg.t_max.denominator
+        node = root
+        for k, p in enumerate(leg.prefix_products, 1):
+            node.cap = max(node.cap, cap)
+            child = node.kids.get(id(p))
+            if child is None:
+                weight = weights[k]
+                v = _checked_float(p, weight) * weight
+                child = node.kids[id(p)] = _Node(node.vs + (v,), k == depth)
+            node = child
+        node.cap = max(node.cap, cap)
+        if cap not in node.caps:
+            node.caps.append(cap)
+    return root
+
+
+def _nearest(x, vs, cap, limit: float) -> float:
+    """Min distance from x to s -> s*v, 0 <= s <= cap, over the coordinates of vs.
+
+    One candidate per coordinate k, c = min(x_k / v_k, cap), and its
+    distance sum_j |x_j - c v_j| accumulated from 0.0 in coordinate order;
+    the cap is evaluated once however many kinks it clips. A sum stops
+    once it exceeds limit (its terms are non-negative, so it can only
+    grow); the result is the min over the candidates when that is at most
+    limit, else inf.
+    """
+    nearest = math.inf
+    capped = False
+    for xk, vk in zip(x, vs):
+        c = xk / vk
+        if c >= cap:
+            if capped:
+                continue
+            c, capped = cap, True
+        d = 0.0
+        for xj, vj in zip(x, vs):
+            d += abs(xj - c * vj)
+            if d > limit:
+                break
+        else:
+            nearest = limit = d
+    return nearest
+
+
+def _farthest(far_ends, root: _Node) -> float:
+    """Max over the far ends of the min distance to the legs below root."""
+    worst = 0.0
+    hint = None
+    for x in far_ends:
+        best = math.inf
+        if hint is not None:
+            best = _nearest(x, *hint, math.inf)
+            if best <= worst:
+                continue
+        heap: list = []
+        kids = (root,)
+        while True:
+            for node in kids:
+                if node.kids is None:
+                    for cap in node.caps:
+                        d = _nearest(x, node.vs, cap, best)
+                        if d < best:
+                            best, hint = d, (node.vs, cap)
+                else:
+                    bound = _nearest(x, node.vs, node.cap, best + _SLACK)
+                    if bound < math.inf:
+                        heapq.heappush(heap, (bound, id(node), node))
+            if best <= worst or not heap or heap[0][0] > best + _SLACK:
+                break
+            kids = heapq.heappop(heap)[2].kids.values()
+        worst = max(worst, best)
+    return worst
 
 
 def _legs_missing_from(a: FanApprox, b: FanApprox):
     """Legs of a that are not legs of b, in a's order.
 
-    Looked up by word (half the Fraction hashing of a whole leg) but matched
-    on the whole leg, so a hand-built leg whose products or cap disagree
-    with b's leg of the same word is missing from b.
+    Words are looked up as tuples of slope indices: each distinct symbol
+    object is hashed as a Fraction once (Python does not cache that
+    hash), then found by id. A leg matches only when its products and cap
+    also equal those of b's leg of the same word, so a hand-built leg
+    that disagrees with it is missing from b.
     """
-    b_by_word = {leg.word.symbols: leg for leg in b.legs}
-    for leg in a.legs:
-        if b_by_word.get(leg.word.symbols) != leg:
+    index: dict[Fraction, int] = {}
+    codes: dict[int, int] = {}
+
+    def words(legs):
+        for leg in legs:
+            symbols = leg.word.symbols
+            try:
+                yield tuple(map(codes.__getitem__, map(id, symbols)))
+            except KeyError:
+                for s in symbols:
+                    codes[id(s)] = index.setdefault(s, len(index))
+                yield tuple(map(codes.__getitem__, map(id, symbols)))
+
+    b_by_word = dict(zip(words(b.legs), b.legs))
+    for word, leg in zip(words(a.legs), a.legs):
+        match = b_by_word.get(word)
+        if match is None or (match.prefix_products, match.t_max) != (leg.prefix_products, leg.t_max):
             yield leg
 
 
@@ -460,19 +558,49 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     the distance to b: the point lam*s*v of the b-leg nearest to x stays on
     that leg, and |lam*x - lam*s*v| = lam*|x - s*v|. Each leg's far end
     (t = t_max) is therefore measured against all of b, and nothing else.
-    The distance from a far end to one leg of b is convex and piecewise
-    linear in the leg parameter, minimized at a kink x_k / P_k clipped to
-    the leg's cap (one candidate per coordinate, see _min_distances), so it
-    is evaluated without grid error. A leg of a that equals a leg of b is
-    at distance exactly 0 and is skipped; when every leg is shared the
-    result is (0.0, padding). The kernel works in fixed-size tiles, so its
-    memory is bounded by the tile, not by the size of either fan.
+    A leg of a that equals a leg of b is at distance exactly 0 and is
+    skipped; when every leg is shared the result is (0.0, padding) and
+    nothing else is built.
 
-    `grid` sets only the padding: the upper bound adds half of a's
-    grid spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
+    Weights fold into the data: the far end x has x_k = (t_max P_k) w_k
+    and a leg of b the direction v_k = P_k w_k, w_k = 2^-(k+1). The
+    distance f(s) = sum_k |x_k - s v_k| to the leg s -> s*v, 0 <= s <= c,
+    is convex and piecewise linear with kinks x_k / v_k >= 0. f falls near
+    0 unless some x_k is 0, which makes 0 a kink, and a minimizing cap c
+    that is no kink has a kink at or above it (else f rises on
+    [max kink, c]), so the min is at one candidate per coordinate,
+    min(x_k / v_k, c), evaluated without grid error.
+
+    The search (after Taha and Hanbury, "An efficient algorithm for
+    calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015)
+    puts b's words in a trie whose nodes hold the weighted direction
+    prefix their legs share and the largest cap below. Each far end first
+    measures the leg nearest to the previous far end; once any leg is
+    within the running max the far end cannot raise it and the search
+    stops. Otherwise it descends best-first: a node's lower bound is the
+    min over s in [0, node cap] of its partial sum over coordinates
+    0..m, which no leg below can beat (the terms it leaves out are
+    non-negative, and each leg's cap is at most the node's), and a node
+    whose bound exceeds the best leg found by more than _SLACK is
+    pruned. A leg's value is exactly the float the all-pairs evaluation
+    gives, and min does not round, so the result does not depend on the
+    order of either fan's legs or on what was pruned.
+
+    Why _SLACK covers the float error: every x_k and every s v_k with
+    s <= cap lies in [0, w_k], so each sum is at most 1, its n + 1 terms
+    and additions round by at most about (2n + 3) 2^-53 in total, and a
+    float candidate moves the sum by at most 2^-53. Bound and leg value
+    together are off by less than (4n + 10) 2^-53, below 1e-12 for every
+    depth up to 1073, and a deeper fan is refused because its weights
+    underflow to 0.
+
+    A prefix product that overflows a float or underflows to 0 once
+    weighted is a DomainError, raised before any distance is computed.
+    `grid` sets only the padding: the upper bound adds half of a's grid
+    spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
     lower bound equals the max over grid+1 samples of every leg of a
-    measured against every leg of b; in floats the two agree bit for bit on
-    every fan the tests compare.
+    measured against every leg of b; in floats the two agree bit for bit
+    on every fan the tests compare.
     """
     if a.depth != b.depth:
         raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
@@ -482,12 +610,13 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     unshared = tuple(_legs_missing_from(a, b))
     if not unshared:
         return 0.0, padding
-    weights = _metric_weights(a.depth)
-    dirs_b, caps_b = _leg_arrays(b.legs)
-    dirs_a, caps_a = _leg_arrays(unshared)
-    # Weights fold into the data: sum_k w_k |a_k - s v_k| = sum_k |w_k a_k - s w_k v_k|.
-    far_w = caps_a[:, None] * dirs_a * weights
-    worst = float(_min_distances(far_w, dirs_b * weights, caps_b).max())
+    weights = [2.0 ** -(k + 1) for k in range(a.depth + 1)]
+    root = _trie(b.legs, weights)
+    far_ends = [
+        [(cap * p) * weight for p, weight in zip(row, weights)]
+        for row, cap in _float_rows(unshared, weights)
+    ]
+    worst = _farthest(far_ends, root)
     return worst, worst + padding
 
 

@@ -285,7 +285,9 @@ def hausdorff_all_samples_float(a, b, grid: int) -> tuple[float, float]:
     weighted by 2^-(k+1); candidate parameters x_k / P_k are clipped to
     [0, cap] and joined by 0 and cap; the distance is accumulated
     coordinate by coordinate as |w_k x_k - s * (w_k P_k)|. The upper bound
-    adds half of a's Lipschitz grid spacing.
+    adds half of a's Lipschitz grid spacing, each leg's constant
+    sum_k P_k w_k accumulated from 0.0 in coordinate order (a numpy dot
+    product leaves its summation order unspecified).
     """
 
     def arrays(fan):
@@ -309,5 +311,10 @@ def hausdorff_all_samples_float(a, b, grid: int) -> tuple[float, float]:
         for k in range(a.depth + 1):
             dist += np.abs(x_w[:, k, None, None] - cand * dirs_bw[:, k, None])
         worst = max(worst, float(dist.min(axis=(1, 2)).max()))
-    resolution = float(np.max((dirs_a @ weights) * caps_a / grid))
+    resolution = 0.0
+    for dir_a, cap_a in zip(dirs_a.tolist(), caps_a.tolist()):
+        lipschitz = 0.0
+        for d, w in zip(dir_a, weights.tolist()):
+            lipschitz += d * w
+        resolution = max(resolution, lipschitz * cap_a / grid)
     return worst, worst + 0.5 * resolution

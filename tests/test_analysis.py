@@ -545,47 +545,87 @@ def _partially_shared(depth: int, seed: int = 5):
     return FanApprox(F, depth, tuple(half + extra)), FanApprox(F, depth, tuple(rest))
 
 
+def _far_ends(legs):
+    # The search's weighted far ends: ((t_max * 1.0) * P_k) * 2^-(k+1), P_0 = 1.
+    return [
+        tuple(float(leg.t_max) * float(p) * 2.0 ** -(k + 1) for k, p in enumerate((1,) + leg.prefix_products))
+        for leg in legs
+    ]
+
+
+def _record_search(monkeypatch):
+    # Every distance the search evaluates, as (far end, direction prefix, cap).
+    # A call with the whole direction, one entry per coordinate, is a leaf
+    # evaluation; a shorter prefix is a trie node's lower bound.
+    calls = []
+    nearest = analysis._nearest
+
+    def recording(x, vs, cap, limit):
+        calls.append((tuple(x), vs, cap))
+        return nearest(x, vs, cap, limit)
+
+    monkeypatch.setattr(analysis, "_nearest", recording)
+    return calls
+
+
+def _leaf_far_ends(calls):
+    # Far ends that reached a leaf evaluation, in order of first appearance.
+    return list(dict.fromkeys(x for x, vs, _ in calls if len(vs) == len(x)))
+
+
 def test_hausdorff_shared_legs_skip_kernel(monkeypatch):
-    # Record the legs the kernel converts to arrays, leaving out the
-    # padding computation, which covers all of a's legs by design.
-    seen, in_padding = [], []
-    leg_arrays, resolution = analysis._leg_arrays, analysis.sample_resolution
+    # Shared legs are never measured: a nested pair builds no trie and
+    # evaluates nothing; otherwise exactly the unshared far ends, in a's
+    # order, reach a leaf evaluation.
+    calls = _record_search(monkeypatch)
+    tries = []
+    trie = analysis._trie
 
-    def recording_leg_arrays(legs):
-        if not in_padding:
-            seen.append(legs)
-        return leg_arrays(legs)
+    def recording_trie(legs, weights):
+        tries.append(legs)
+        return trie(legs, weights)
 
-    def padding_resolution(fan, grid):
-        in_padding.append(True)
-        try:
-            return resolution(fan, grid)
-        finally:
-            in_padding.pop()
-
-    monkeypatch.setattr(analysis, "_leg_arrays", recording_leg_arrays)
-    monkeypatch.setattr(analysis, "sample_resolution", padding_resolution)
+    monkeypatch.setattr(analysis, "_trie", recording_trie)
 
     f_fan = enumerate_legs(F, 4)
     g_fan = enumerate_legs(cantor_relation(R), 4)
     assert directed_hausdorff(g_fan, f_fan, grid=8)[0] == 0.0
     assert hausdorff(f_fan, f_fan, grid=8)[0] == 0.0
-    assert seen == []
+    assert calls == [] and tries == []
 
     # Same word as an F leg, different cap: not shared.
     leg = f_fan.legs[-1]
     halved = FanApprox(F, 4, (Leg(leg.word, leg.prefix_products, leg.t_max / 2),))
     directed_hausdorff(halved, f_fan, grid=8)
-    assert [legs for legs in seen if legs is not f_fan.legs] == [halved.legs]
-    seen.clear()
+    assert tries == [f_fan.legs]
+    assert _leaf_far_ends(calls) == _far_ends(halved.legs)
+    calls.clear()
+    tries.clear()
 
     a, b = _partially_shared(4)
     shared = set(a.legs) & set(b.legs)
     assert 0 < len(shared) < len(a.legs)
     directed_hausdorff(a, b, grid=8)
-    assert [legs for legs in seen if legs is not b.legs] == [
-        tuple(leg for leg in a.legs if leg not in shared)
-    ]
+    assert tries == [b.legs]
+    assert _leaf_far_ends(calls) == _far_ends([leg for leg in a.legs if leg not in shared])
+
+
+def test_hausdorff_shared_legs_match_by_value(monkeypatch):
+    # Words of equal but distinct Fractions are the same words, so those
+    # legs are shared; a leg whose products disagree with b's leg of its
+    # word is not.
+    calls = _record_search(monkeypatch)
+    f_fan = enumerate_legs(F, 3)
+    copies = FanApprox(
+        F, 3, tuple(build_leg(Word(tuple(Fraction(s.numerator, s.denominator) for s in leg.word.symbols))) for leg in f_fan.legs)
+    )
+    assert copies.legs[0].word.symbols[0] is not f_fan.legs[0].word.symbols[0]
+    assert directed_hausdorff(copies, f_fan, grid=8)[0] == 0.0
+    assert calls == []
+    leg = f_fan.legs[5]
+    wrong = Leg(leg.word, leg.prefix_products[:-1] + (leg.prefix_products[-1] * 2,), leg.t_max)
+    assert directed_hausdorff(FanApprox(F, 3, (wrong,)), f_fan, grid=8)[0] > 0.0
+    assert _leaf_far_ends(calls) == _far_ends([wrong])
 
 
 def test_hausdorff_partially_shared_pair():
@@ -639,38 +679,27 @@ def _crossed_pairs(depth: int):
     }
 
 
-def _far_ends(legs):
-    # The kernel's weighted far-end sample: ((t_max * 1.0) * P_k) * 2^-(k+1), P_0 = 1.
-    return [
-        [float(leg.t_max) * float(p) * 2.0 ** -(k + 1) for k, p in enumerate((1,) + leg.prefix_products)]
-        for leg in legs
-    ]
-
-
-def _record_full_path(monkeypatch):
-    # Record the weighted sample rows that go through the all-of-b helper.
-    seen = []
-    min_distances = analysis._min_distances
-
-    def recording(pts_w, *rest):
-        seen.append(pts_w.tolist())
-        return min_distances(pts_w, *rest)
-
-    monkeypatch.setattr(analysis, "_min_distances", recording)
-    return seen
-
-
 def test_hausdorff_only_far_ends_reach_full_min(monkeypatch):
+    # Only unshared far ends are evaluated, each of them reaches a leaf
+    # evaluation, and every leaf evaluated is a leg of b: its whole weighted
+    # direction and its cap.
     pairs = _crossed_pairs(4)
-    seen = _record_full_path(monkeypatch)
+    calls = _record_search(monkeypatch)
     for name in ("F to L", "G to L"):
         a, b = pairs[name]
-        seen.clear()
+        calls.clear()
         lower, _ = directed_hausdorff(a, b, grid=8)
         b_legs = set(b.legs)
         unshared = [leg for leg in a.legs if leg not in b_legs]
         assert 0 < len(unshared) < len(a.legs), name
-        assert seen == [_far_ends(unshared)], name
+        assert _leaf_far_ends(calls) == _far_ends(unshared), name
+        assert {x for x, _, _ in calls} == set(_far_ends(unshared)), name
+        b_directions = {
+            (tuple(float(p) * 2.0 ** -(k + 1) for k, p in enumerate((1,) + leg.prefix_products)), float(leg.t_max))
+            for leg in b.legs
+        }
+        leaves = {(vs, cap) for x, vs, cap in calls if len(vs) == len(x)}
+        assert leaves <= b_directions, name
         assert lower > 0.0, name
 
 
@@ -750,29 +779,95 @@ def test_kink_candidates_reach_the_min():
     assert min(caps_seen.values()) > 0, caps_seen
 
 
+def _orders(fan, seed: int):
+    # The library order, then three shuffled orders.
+    yield fan
+    for i in range(3):
+        legs = list(fan.legs)
+        random.Random(seed + i).shuffle(legs)
+        yield FanApprox(fan.relation, fan.depth, tuple(legs))
+
+
 @pytest.mark.parametrize("depth", [3, 4, 5])
-def test_hausdorff_tiles_do_not_change_floats(monkeypatch, depth):
-    # Tiles of 1, 7 and 50 elements cut b's legs into several tiles, the
-    # last one short; 300 holds all of L's legs at depths 3 and 4 and cuts
-    # the far ends instead, again with a short last tile.
+def test_hausdorff_leg_order_does_not_change_floats(depth):
+    # Which legs the search meets first decides what it prunes and where it
+    # stops, never its floats: in the library order, in shuffled orders and
+    # with b reversed, so the nearest-leg hint starts out bad, every
+    # enclosure equals the all-samples reference in float.hex.
     fans = _reference_fans(depth)
-    names = [("F", "L"), ("G", "L"), ("F", "G")]
     grid = 8
-    directed, both = {}, {}
-    for a, b in names:
+    for a, b in [("F", "L"), ("G", "L"), ("F", "G")]:
         ab = hausdorff_all_samples_float(fans[a], fans[b], grid)
         ba = hausdorff_all_samples_float(fans[b], fans[a], grid)
-        directed[(a, b)] = [v.hex() for v in ab]
-        directed[(b, a)] = [v.hex() for v in ba]
-        both[(a, b)] = [max(ab[0], ba[0]).hex(), max(ab[1], ba[1]).hex()]
-    for tile in (analysis._TILE, 1, 7, 50, 300):
-        monkeypatch.setattr(analysis, "_TILE", tile)
-        for (x, y), expected in directed.items():
-            got = directed_hausdorff(fans[x], fans[y], grid)
-            assert [v.hex() for v in got] == expected, (x, y, tile)
-        for (a, b), expected in both.items():
-            got = hausdorff(fans[a], fans[b], grid)
-            assert [v.hex() for v in got] == expected, (a, b, tile)
+        expected = {
+            "ab": [v.hex() for v in ab],
+            "ba": [v.hex() for v in ba],
+            "both": [max(ab[0], ba[0]).hex(), max(ab[1], ba[1]).hex()],
+        }
+        b_fan = fans[b]
+        reversed_b = FanApprox(b_fan.relation, depth, b_fan.legs[::-1])
+        variants = [(fans[a], reversed_b)] + list(zip(_orders(fans[a], depth), _orders(b_fan, 10 * depth)))
+        for i, (x, y) in enumerate(variants):
+            got = {
+                "ab": [v.hex() for v in directed_hausdorff(x, y, grid)],
+                "ba": [v.hex() for v in directed_hausdorff(y, x, grid)],
+                "both": [v.hex() for v in hausdorff(x, y, grid)],
+            }
+            assert got == expected, (a, b, i)
+
+
+def test_hausdorff_legs_sharing_a_word_keep_their_caps():
+    # A hand-built fan may hold two legs of one word with different caps;
+    # each cap is measured, as in the all-samples reference.
+    depth, grid = 4, 8
+    g_fan = enumerate_legs(cantor_relation(R), depth)
+    l_fan = enumerate_legs(line_pair_relation(R, RHO), depth)
+    doubled = FanApprox(
+        l_fan.relation,
+        depth,
+        l_fan.legs + tuple(Leg(leg.word, leg.prefix_products, leg.t_max / 3) for leg in l_fan.legs),
+    )
+    for a, b in [(g_fan, doubled), (doubled, g_fan)]:
+        got = directed_hausdorff(a, b, grid)
+        assert [v.hex() for v in got] == [v.hex() for v in hausdorff_all_samples_float(a, b, grid)]
+
+
+TINY = Fraction(1, 10**108)
+HUGE = Fraction(10**108)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (cantor_relation(TINY), line_pair_relation(TINY, RHO)),
+        (line_pair_relation(TINY, RHO), cantor_relation(TINY)),
+        (cantor_relation(R), line_pair_relation(R, HUGE)),
+        (line_pair_relation(R, HUGE), cantor_relation(R)),
+    ],
+    ids=["G to L, 10^-108", "L to G, 10^-108", "b overflows", "a overflows"],
+)
+def test_hausdorff_outside_the_float_range_is_domain_error(a, b):
+    # At depth 4 the product r^4 = 10^-432 underflows to 0.0 and rho^4 =
+    # 10^432 overflows; either way there is no float enclosure. The first
+    # fan's products are checked by its resolution, the second's when the
+    # search converts them.
+    fan_a, fan_b = enumerate_legs(a, 4), enumerate_legs(b, 4)
+    for call in (directed_hausdorff, hausdorff):
+        with pytest.raises(DomainError, match="overflows a float or underflows to 0"):
+            call(fan_a, fan_b)
+    if TINY in a.slopes or HUGE in a.slopes:
+        with pytest.raises(DomainError, match="overflows a float or underflows to 0"):
+            sample_resolution(fan_a, 8)
+
+
+def test_hausdorff_weighted_underflow_is_domain_error():
+    # P_1 = 2^-1074 is the least positive float, but its weighted value
+    # P_1 / 4 underflows to 0.0, which would make its kink x_1 / v_1 inf.
+    fan = enumerate_legs(cantor_relation(Fraction(1, 2**1074)), 1)
+    assert float(fan.legs[0].prefix_products[0]) > 0.0
+    for a, b in [(fan, enumerate_legs(F, 1)), (enumerate_legs(F, 1), fan)]:
+        with pytest.raises(DomainError, match="overflows a float or underflows to 0"):
+            directed_hausdorff(a, b)
 
 
 def test_far_ends_attain_exact_max_min():

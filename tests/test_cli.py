@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lelekfan
 from lelekfan import (
     enumerate_legs,
     fan_relation,
@@ -279,6 +283,39 @@ def test_hausdorff_full_to_line_pair(capsys):
         enumerate_legs(fan_relation(r, rho), 3), enumerate_legs(line_pair_relation(r, rho), 3), 6
     )
     assert (data["lower"], data["upper"]) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--r", "1/1" + "0" * 111, "--depth", "3"],
+        ["--r", "1/1" + "0" * 108, "--a", "G", "--b", "Lrr", "--depth", "4"],
+        ["--r", "1/2", "--rho", "1" + "0" * 108, "--a", "G", "--b", "Lrr", "--depth", "4"],
+    ],
+    ids=["r=10^-111 depth 3", "r=10^-108 depth 4", "rho=10^108 depth 4"],
+)
+def test_hausdorff_outside_the_float_range_exits_3(capsys, argv):
+    # Prefix products that underflow to 0.0 or overflow a float: a
+    # precondition failure with no output, not nan, a warning or a traceback.
+    assert main(["hausdorff", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows a float or underflows to 0" in captured.err
+
+
+def test_package_runs_without_numpy():
+    # Neither the import nor a Hausdorff enclosure loads numpy.
+    src = os.path.dirname(os.path.dirname(lelekfan.__file__))
+    script = (
+        "import sys, lelekfan\n"
+        "from lelekfan.cli import main\n"
+        "code = main(['hausdorff', '--a', 'G', '--b', 'Lrr', '--depth', '4'])\n"
+        "sys.exit(10 * code + ('numpy' in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["lower"] > 0
 
 
 def test_render_from_file(capsys, tmp_path):
