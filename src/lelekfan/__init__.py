@@ -17,7 +17,6 @@ from .analysis import (
     NOT_CERTIFIED,
     EndpointVerdict,
     GreedyTrace,
-    canonical_endpoint_extension,
     classify_endpoint,
     density_sweep,
     density_witness,
@@ -70,7 +69,6 @@ from .scalars import (
     factor,
     format_scalar,
     parse_scalar,
-    power,
 )
 
 __version__ = "0.1.0"

@@ -15,9 +15,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .errors import DomainError, ResourceError, ShapeError
 from .mahavier import (
     FanApprox,
@@ -48,28 +49,30 @@ APPROXIMATE = "approximate"
 NOT_CERTIFIED = "not_certified"
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(Value, namedtuple("GreedyTrace", "start symbols partials running_max")):
     """A climb from `start`: chosen symbols, partial products and their running maximum.
 
     The start counts as the depth-0 partial, so running_max >= start and every
     partial lies in [0, 1].
     """
 
+    __slots__ = ()
     start: Fraction
     symbols: tuple[Fraction, ...]
     partials: tuple[Fraction, ...]
     running_max: Fraction
 
 
-@dataclass(frozen=True)
-class EndpointVerdict:
+class EndpointVerdict(
+    Value, namedtuple("EndpointVerdict", "kind point peak_index peak_value delta")
+):
     """Whether a point's coordinate maximum reaches 1 (EXACT), nears it (APPROXIMATE) or neither.
 
     NOT_CERTIFIED means no certificate within this prefix and tolerance, not
     a disproof. `delta` is 1 - peak_value (0 when exact).
     """
 
+    __slots__ = ()
     kind: str
     point: PointPrefix
     peak_index: int
@@ -104,7 +107,9 @@ def greedy_sequence(
     Each step costs one Fraction multiply, by the chosen slope: the test
     rho * current <= 1 and the running-maximum update are integer
     cross-multiplications (denominators are positive), and only an update
-    of the running maximum is compared with `stop_when`.
+    of the running maximum is compared with `stop_when`. The trace's
+    running_max is the very object `start`, or the first partial that
+    reaches it; density_witness finds its index by identity.
     """
     x = _climb_start(x, steps)
     r, rho = Fraction(r), Fraction(rho)
@@ -193,32 +198,29 @@ def classify_endpoint(point: PointPrefix, delta) -> EndpointVerdict:
     delta = Fraction(delta)
     if delta < 0:
         raise DomainError("delta must be non-negative")
-    coords = point.coords
-    if not coords:
+    if not point.coords:
         raise DomainError("a point with no coordinates has no peak")
+    return _verdict(point, _first_peak(point.coords), delta)
+
+
+def _first_peak(coords) -> int:
+    """Index of the first maximal coordinate, found by integer cross-multiplication."""
     peak_index = 0
     peak_num, peak_den = coords[0].numerator, coords[0].denominator
     for i, c in enumerate(coords):
         if c.numerator * peak_den > peak_num * c.denominator:
             peak_index, peak_num, peak_den = i, c.numerator, c.denominator
-    peak = coords[peak_index]
-    if peak_num == peak_den:
+    return peak_index
+
+
+def _verdict(point: PointPrefix, peak_index: int, delta) -> EndpointVerdict:
+    """The verdict on a point whose first maximal coordinate is at peak_index."""
+    peak = point.coords[peak_index]
+    if peak.numerator == peak.denominator:
         return EndpointVerdict(EXACT, point, peak_index, peak, Fraction(0))
     gap = 1 - peak
     kind = APPROXIMATE if gap <= delta else NOT_CERTIFIED
     return EndpointVerdict(kind, point, peak_index, peak, gap)
-
-
-def canonical_endpoint_extension(verdict: EndpointVerdict, extra: int) -> PointPrefix:
-    """Extend an exact verdict's point past its peak by diagonal steps.
-
-    Every added coordinate equals 1, so any further extension of the
-    underlying infinite sequence keeps the coordinate supremum at 1.
-    """
-    if verdict.kind != EXACT:
-        raise DomainError("only exact verdicts extend canonically")
-    coords = verdict.point.coords[: verdict.peak_index + 1] + (Fraction(1),) * extra
-    return PointPrefix(coords)
 
 
 def _min_k0(epsilon: Fraction) -> int:
@@ -255,7 +257,9 @@ def density_witness(
     value over the common prefix plus its tail, always <= epsilon, and the
     verdict is classify_endpoint(e, delta), with the delta actually
     achieved within the budget. A climb that stops short of 1 - delta is
-    NOT_CERTIFIED: it is reported, never silently dropped.
+    NOT_CERTIFIED: it is reported, never silently dropped. The verdict is
+    built without scanning e again: its peak is the kept prefix's unless
+    the climb's running maximum rises above it.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -295,7 +299,14 @@ def density_witness(
             f"witness bound {format_scalar(bound)} exceeds epsilon = "
             f"{format_scalar(epsilon)}; the input prefix is too short"
         )
-    return e, bound, classify_endpoint(e, delta)
+    # The climb starts at prefix[-1], and its running max is that start or
+    # the partial object where the max was first reached; e's first maximal
+    # coordinate is in the prefix unless the climb rose above the prefix's.
+    peak_index = _first_peak(prefix)
+    running_max = trace.running_max
+    if running_max > prefix[peak_index]:
+        peak_index = k0 + next(j for j, p in enumerate(trace.partials) if p is running_max)
+    return e, bound, _verdict(e, peak_index, delta)
 
 
 def _point_on(leg, rng: random.Random) -> PointPrefix:

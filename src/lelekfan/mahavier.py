@@ -11,8 +11,10 @@ with prefix products P_k = s_1*...*s_k and t_max = 1/max(1, max_k P_k),
 the largest parameter keeping every coordinate inside [0, 1]. Clipping to
 the unit cube therefore never needs a separate intersection computation.
 
-All types are immutable after construction and safe to share between
-threads.
+The value types (`RelationSpec`, `Word`, `Leg`, `PointPrefix`,
+`FanApprox`) are named tuples: immutable, built by position or keyword,
+equal only to values of their own type, and safe to share between
+threads. Each converts and validates its fields in `__new__`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
+from ._value import Value
 from .errors import DomainError, FormatError, RangeError, ResourceError, ShapeError
 from .scalars import format_scalar, parse_scalar
 
@@ -34,21 +37,25 @@ DEFAULT_ENUM_BUDGET = 3**12
 DEGENERACY_THRESHOLD = Fraction(1, 2**20)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    """Ordered set of distinct positive slopes denoting a union of clipped lines."""
+class RelationSpec(Value, namedtuple("RelationSpec", "slopes")):
+    """Ordered set of distinct positive slopes denoting a union of clipped lines.
 
+    `slopes` is converted to a tuple of Fractions.
+    """
+
+    __slots__ = ()
     slopes: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(Fraction(s) for s in self.slopes))
-        if not self.slopes:
+    def __new__(cls, slopes):
+        slopes = tuple(Fraction(s) for s in slopes)
+        if not slopes:
             raise DomainError("a relation needs at least one slope")
-        for s in self.slopes:
+        for s in slopes:
             if s <= 0:
                 raise DomainError(f"slopes must be positive, got {format_scalar(s)}")
-        if len(set(self.slopes)) != len(self.slopes):
+        if len(set(slopes)) != len(slopes):
             raise DomainError("slopes must be pairwise distinct")
+        return tuple.__new__(cls, (slopes,))
 
 
 def fan_relation(r, rho) -> RelationSpec:
@@ -77,8 +84,7 @@ def _fraction_tuple(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value, namedtuple("Word", "symbols")):
     """Finite sequence of slopes indexing one leg.
 
     Symbols are converted to a tuple of Fractions unless they already are
@@ -86,23 +92,25 @@ class Word:
     built from a relation's slopes are stored as given.
     """
 
+    __slots__ = ()
     symbols: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", _fraction_tuple(self.symbols))
+    def __new__(cls, symbols):
+        return tuple.__new__(cls, (_fraction_tuple(symbols),))
 
     def __len__(self) -> int:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(Value, namedtuple("Leg", "word prefix_products t_max")):
     """One leg: a word, its prefix products (P_1, ..., P_n) and the cap t_max.
 
     The empty product P_0 = 1 is implicit; the depth-n point at parameter t
     is (t, P_1*t, ..., P_n*t), inside [0,1]^(n+1) exactly when t <= t_max.
+    Fields are stored as given.
     """
 
+    __slots__ = ()
     word: Word
     prefix_products: tuple[Fraction, ...]
     t_max: Fraction
@@ -112,8 +120,7 @@ class Leg:
         return len(self.word.symbols)
 
 
-@dataclass(frozen=True)
-class PointPrefix:
+class PointPrefix(Value, namedtuple("PointPrefix", "coords")):
     """Finite coordinate tuple (x_0, ..., x_n) with every entry in [0, 1].
 
     Coordinates are converted to a tuple of Fractions unless they already
@@ -121,36 +128,38 @@ class PointPrefix:
     rule as `Word`, so points built from exact products are stored as given.
     """
 
+    __slots__ = ()
     coords: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        coords = _fraction_tuple(self.coords)
-        object.__setattr__(self, "coords", coords)
+    def __new__(cls, coords):
+        coords = _fraction_tuple(coords)
         # Denominators are positive, so 0 <= c <= 1 is 0 <= p <= q for c = p/q.
         for c in coords:
             if not 0 <= c.numerator <= c.denominator:
                 raise DomainError(f"coordinate {format_scalar(c)} outside [0, 1]")
+        return tuple.__new__(cls, (coords,))
 
     def __len__(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class FanApprox:
+class FanApprox(Value, namedtuple("FanApprox", "relation depth legs")):
     """A depth-n approximation: a relation and a collection of its legs."""
 
+    __slots__ = ()
     relation: RelationSpec
     depth: int
     legs: tuple[Leg, ...]
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __new__(cls, relation, depth, legs):
+        if depth < 0:
             raise DomainError("depth must be non-negative")
-        for leg in self.legs:
-            if leg.depth != self.depth:
+        for leg in legs:
+            if leg.depth != depth:
                 raise ShapeError(
-                    f"leg of depth {leg.depth} in a depth-{self.depth} approximation"
+                    f"leg of depth {leg.depth} in a depth-{depth} approximation"
                 )
+        return tuple.__new__(cls, (relation, depth, legs))
 
 
 def membership(point: PointPrefix, relation: RelationSpec) -> bool:

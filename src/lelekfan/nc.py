@@ -8,27 +8,29 @@ exponent entries, so no logarithms and no rounding are involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .errors import NcViolation, PreconditionError
-from .scalars import factor, format_scalar, power
+from .scalars import factor, format_scalar
 
 
-@dataclass(frozen=True)
-class NcVerdict:
+class NcVerdict(Value, namedtuple("NcVerdict", "is_nc witness")):
     """Outcome of the never-connect check.
 
     `witness` is present exactly when the pair is dependent; it is the
     minimal integer pair (k, l) with k > 0 and r^k == rho^l.
     """
 
+    __slots__ = ()
     is_nc: bool
-    witness: tuple[int, int] | None = None
+    witness: tuple[int, int] | None
 
-    def __post_init__(self):
-        if self.is_nc == (self.witness is not None):
+    def __new__(cls, is_nc, witness=None):
+        if is_nc == (witness is not None):
             raise ValueError("witness must be present exactly when the pair is dependent")
+        return tuple.__new__(cls, (is_nc, witness))
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,7 +79,7 @@ def check_nc(r: Fraction, rho: Fraction) -> NcVerdict:
     # Parallel vectors: k*exp_r = l*exp_rho forces l/k = ratio, so the minimal
     # witness with k > 0 is the reduced (denominator, numerator) pair.
     k, l = ratio.denominator, ratio.numerator
-    assert power(r, k) == power(rho, l)
+    assert r**k == rho**l
     return NcVerdict(False, (k, l))
 
 

@@ -11,9 +11,10 @@ byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value
 from .errors import DomainError
 from .mahavier import FanApprox, Leg, _symbol_values
 from .scalars import format_scalar
@@ -22,15 +23,25 @@ ANGLE_CANTOR = "cantor"
 ANGLE_UNIFORM = "uniform"
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    width: int = 800
-    height: int = 600
-    angle_map: str = ANGLE_CANTOR
-    sweep: float = 60.0  # degrees, inside (0, 180)
-    stroke_width: float = 1.0
+class RenderConfig(
+    Value,
+    namedtuple(
+        "RenderConfig",
+        "width height angle_map sweep stroke_width",
+        defaults=(800, 600, ANGLE_CANTOR, 60.0, 1.0),
+    ),
+):
+    """Picture size in pixels, angle map, sweep in degrees inside (0, 180), stroke width."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    width: int
+    height: int
+    angle_map: str
+    sweep: float  # degrees, inside (0, 180)
+    stroke_width: float
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.width <= 0 or self.height <= 0:
             raise DomainError("width and height must be positive")
         if not 0 < self.sweep < 180:
@@ -41,6 +52,7 @@ class RenderConfig:
             raise DomainError(
                 f"stroke width must be positive and finite, got {self.stroke_width}"
             )
+        return self
 
 
 def _digit_map(n_slopes: int) -> tuple[tuple[int, ...], int]:

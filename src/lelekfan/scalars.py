@@ -16,7 +16,6 @@ and 3.10.7).
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -156,12 +155,3 @@ def factor(q: Fraction) -> dict[int, int]:
     for p, e in _trial_division(denominator).items():
         exponents[p] = -e
     return exponents
-
-
-def power(q: Fraction, k: int) -> Fraction:
-    """Exact integer power of a rational; negative exponents invert."""
-    q = Fraction(q)
-    k = operator.index(k)  # reject non-integer exponents before ** widens to float
-    if q == 0 and k < 0:
-        raise DomainError("0 cannot be raised to a negative power")
-    return q**k

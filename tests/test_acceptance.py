@@ -26,7 +26,6 @@ from lelekfan import (
     line_pair_relation,
     membership,
     oracle_best_sequence,
-    power,
     sample_deep_points,
     sample_points,
     sample_resolution,
@@ -71,7 +70,7 @@ def test_c1_nc_oracle_equivalence():
                 dependent += 1
                 bk, bl = brute
                 wk, wl = verdict.witness
-                if power(r, bk) != power(rho, bl) or power(r, wk) != power(rho, wl):
+                if r**bk != rho**bl or r**wk != rho**wl:
                     mismatches += 1
     elapsed = time.perf_counter() - started
     total = len(r_pool) * len(rho_pool)
@@ -92,7 +91,7 @@ def test_c2_known_nc_verdicts():
         verdict = check_nc(r, rho)
         ok &= not verdict.is_nc and verdict.witness == expected
         k, l = verdict.witness
-        ok &= power(r, k) == power(rho, l)
+        ok &= r**k == rho**l
     for r, rho in [
         (Fraction(1, 2), Fraction(3)),
         (Fraction(2, 3), Fraction(5)),

@@ -9,6 +9,8 @@ import pytest
 
 from lelekfan import (
     APPROXIMATE,
+    DEFAULT_DELTA,
+    DENSITY_EPSILONS,
     DomainError,
     EXACT,
     EndpointVerdict,
@@ -23,7 +25,6 @@ from lelekfan import (
     Word,
     build_leg,
     cantor_relation,
-    canonical_endpoint_extension,
     classify_endpoint,
     density_sweep,
     density_witness,
@@ -260,20 +261,6 @@ def test_classify_endpoint_empty_point_is_domain_error():
         classify_endpoint(PointPrefix((Fraction(1, 2),)), Fraction(-1, 100))
 
 
-def test_canonical_extension_stays_at_one():
-    tip = leg_point(build_leg(Word((RHO, R))), Fraction(1, 3))  # (1/3, 1, 1/2)
-    cert = classify_endpoint(tip, Fraction(1, 100))
-    assert cert.kind == EXACT and cert.peak_index == 1
-    extended = canonical_endpoint_extension(cert, 5)
-    assert extended.coords[cert.peak_index :] == (Fraction(1),) * 6
-    assert membership(extended, F)
-    for kind in (APPROXIMATE, NOT_CERTIFIED):
-        with pytest.raises(DomainError, match="only exact"):
-            canonical_endpoint_extension(
-                EndpointVerdict(kind, tip, 1, Fraction(1, 2), Fraction(1, 2)), 2
-            )
-
-
 def test_density_witness_exact_point_returns_itself():
     x = leg_point(build_leg(Word((RHO, R, RHO))), Fraction(2, 9))
     e, bound, cert = density_witness(x, Fraction(1, 16), R, RHO)
@@ -355,6 +342,44 @@ def test_density_witness_short_budget_reports_not_certified():
     assert cert.kind == NOT_CERTIFIED
     assert cert.delta == 1 - max(e.coords)
     assert cert.delta > Fraction(1, 100)  # two steps cannot reach 0.99 from 2/5
+
+
+@pytest.mark.parametrize("r, rho", [(R, RHO), (Fraction(5, 7), Fraction(11, 4))])
+def test_density_verdict_is_classify_endpoint_of_the_witness(r, rho):
+    # The verdict is built from the kept prefix's peak and the climb's
+    # running max; it must equal a full classification of the witness.
+    points = sample_deep_points(fan_relation(r, rho), 40, 40, seed=7)
+    for epsilon in DENSITY_EPSILONS:
+        for x in points:
+            e, _, verdict = density_witness(x, epsilon, r, rho)
+            assert verdict == classify_endpoint(e, DEFAULT_DELTA)
+
+
+def test_density_verdict_short_budgets_and_prefix_peaks():
+    rising = leg_point(build_leg(Word((RHO, RHO, RHO) + (R,) * 9)), Fraction(1, 30))
+    falling = leg_point(build_leg(Word((RHO,) + (R,) * 11)), Fraction(3, 10))
+    cases = [
+        # (point, extension_budget, delta, kind, peak_index)
+        # Constant prefix 2/5: one step falls to 1/5, a second rises to 3/5.
+        (PointPrefix((Fraction(2, 5),) * 12), 1, DEFAULT_DELTA, NOT_CERTIFIED, 0),
+        (PointPrefix((Fraction(2, 5),) * 12), 2, DEFAULT_DELTA, NOT_CERTIFIED, 5),
+        # Prefix (1/30, 1/10, 3/10, 9/10): the climb from 9/10 only falls, so
+        # its running max is its start, tied with the prefix's last coordinate.
+        (rising, 1, DEFAULT_DELTA, NOT_CERTIFIED, 3),
+        (rising, 2, DEFAULT_DELTA, NOT_CERTIFIED, 3),
+        # Prefix (3/10, 9/10, 9/20, 9/40): the climb stops at 27/40 >= 1/2,
+        # below the prefix's 9/10; toward 99/100 it rises above 9/10.
+        (falling, 100, Fraction(1, 2), APPROXIMATE, 1),
+        (falling, 100, DEFAULT_DELTA, NOT_CERTIFIED, None),
+    ]
+    for x, budget, delta, kind, peak_index in cases:
+        e, _, verdict = density_witness(x, Fraction(1, 16), R, RHO, budget, delta)
+        assert verdict == classify_endpoint(e, delta)
+        assert verdict.kind == kind
+        if peak_index is None:
+            assert verdict.peak_index >= 4  # the climb rose above the prefix
+        else:
+            assert verdict.peak_index == peak_index
 
 
 def test_sample_deep_points_draw_order():

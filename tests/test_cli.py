@@ -304,13 +304,13 @@ def test_hausdorff_outside_the_float_range_exits_3(capsys, argv):
 
 
 def test_package_runs_without_numpy():
-    # Neither the import nor a Hausdorff enclosure loads numpy.
+    # Neither the import nor a Hausdorff enclosure loads numpy or dataclasses.
     src = os.path.dirname(os.path.dirname(lelekfan.__file__))
     script = (
         "import sys, lelekfan\n"
         "from lelekfan.cli import main\n"
         "code = main(['hausdorff', '--a', 'G', '--b', 'Lrr', '--depth', '4'])\n"
-        "sys.exit(10 * code + ('numpy' in sys.modules))\n"
+        "sys.exit(10 * code + ('numpy' in sys.modules) + 2 * ('dataclasses' in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lelekfan import NcVerdict, NcViolation, PreconditionError, check_nc, power, require_nc
+from lelekfan import NcVerdict, NcViolation, PreconditionError, check_nc, require_nc
 from oracles import nc_brute_witness, nc_merge_witness
 
 
@@ -14,7 +14,7 @@ def test_dependent_pair_one_half_two():
     verdict = check_nc(Fraction(1, 2), Fraction(2))
     assert not verdict.is_nc
     assert verdict.witness == (1, -1)
-    assert power(Fraction(1, 2), 1) == power(Fraction(2), -1)
+    assert Fraction(1, 2) ** 1 == Fraction(2) ** -1
 
 
 def test_independent_pair_one_half_three():
@@ -29,7 +29,7 @@ def test_dependent_pair_four_ninths():
     verdict = check_nc(Fraction(4, 9), Fraction(27, 8))
     assert not verdict.is_nc
     assert verdict.witness == (3, -2)
-    assert power(Fraction(4, 9), 3) == power(Fraction(27, 8), -2) == Fraction(64, 729)
+    assert Fraction(4, 9) ** 3 == Fraction(27, 8) ** -2 == Fraction(64, 729)
 
 
 def test_verdict_has_a_witness_exactly_when_dependent():
@@ -44,7 +44,7 @@ def test_witness_reevaluates_exactly():
         assert not verdict.is_nc
         k, l = verdict.witness
         assert k > 0
-        assert power(r, k) == power(rho, l)
+        assert r**k == rho**l
 
 
 def test_agrees_with_brute_force_on_small_pool():

@@ -1,4 +1,4 @@
-"""Exact rational substrate: parsing, factorization, powers."""
+"""Exact rational substrate: parsing and factorization."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from lelekfan import (
     factor,
     format_scalar,
     parse_scalar,
-    power,
 )
 from lelekfan import scalars
 from oracles import recompose, trial_factor_int, trial_factor_rational
@@ -171,34 +170,3 @@ def test_factor_converts_any_rational_input():
     for bad in (0, -4, "0", "-4/9", 0.0, -0.5):
         with pytest.raises(DomainError, match="positive rational"):
             factor(bad)
-
-
-def test_power_examples():
-    assert power(Fraction(1, 2), 1) == Fraction(1, 2)
-    assert power(Fraction(1, 2), -1) == Fraction(2)
-    assert power(Fraction(4, 9), 3) == Fraction(64, 729)
-    # oracle: repeated exact multiplication
-    acc = Fraction(1)
-    for _ in range(3):
-        acc *= Fraction(4, 9)
-    assert acc == Fraction(64, 729)
-
-
-def test_power_zero_negative_exponent():
-    with pytest.raises(DomainError):
-        power(Fraction(0), -1)
-    assert power(Fraction(0), 3) == 0
-
-
-def test_power_rejects_non_integer_exponent():
-    with pytest.raises(TypeError):
-        power(Fraction(1, 2), 0.5)
-
-
-def test_power_exponent_addition_law():
-    rng = random.Random(7)
-    for _ in range(200):
-        q = Fraction(rng.randint(1, 99), rng.randint(1, 99))
-        k = rng.randint(-32, 32)
-        l = rng.randint(-32, 32)
-        assert power(q, k) * power(q, l) == power(q, k + l)
