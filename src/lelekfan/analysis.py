@@ -24,6 +24,7 @@ from .mahavier import (
     FanApprox,
     PointPrefix,
     RelationSpec,
+    _symbol_values,
     build_leg,
     cantor_relation,
     draw_word,
@@ -535,28 +536,18 @@ def _farthest(far_ends, root: _Node) -> float:
 def _legs_missing_from(a: FanApprox, b: FanApprox):
     """Legs of a that are not legs of b, in a's order.
 
-    Words are looked up as tuples of slope indices: each distinct symbol
-    object is hashed as a Fraction once (Python does not cache that
-    hash), then found by id. A leg matches only when its products and cap
-    also equal those of b's leg of the same word, so a hand-built leg
-    that disagrees with it is missing from b.
+    Words are keyed by their symbols' indices among b's slopes, through
+    mahavier's one symbol index. A leg matches only when its products and
+    cap also equal those of b's leg under the same key. Symbols are
+    positive, so a leg's products determine its word (s_k = P_k / P_{k-1})
+    and that check decides equality on its own: a None key, for a symbol
+    outside b's slopes, can only send a leg to the search, which measures
+    it like any unshared leg.
     """
-    index: dict[Fraction, int] = {}
-    codes: dict[int, int] = {}
-
-    def words(legs):
-        for leg in legs:
-            symbols = leg.word.symbols
-            try:
-                yield tuple(map(codes.__getitem__, map(id, symbols)))
-            except KeyError:
-                for s in symbols:
-                    codes[id(s)] = index.setdefault(s, len(index))
-                yield tuple(map(codes.__getitem__, map(id, symbols)))
-
-    b_by_word = dict(zip(words(b.legs), b.legs))
-    for word, leg in zip(words(a.legs), a.legs):
-        match = b_by_word.get(word)
+    key = _symbol_values(b.relation, range(len(b.relation.slopes)), lambda s: None)
+    b_by_word = {tuple(key(leg.word.symbols)): leg for leg in b.legs}
+    for leg in a.legs:
+        match = b_by_word.get(tuple(key(leg.word.symbols)))
         if match is None or (match.prefix_products, match.t_max) != (leg.prefix_products, leg.t_max):
             yield leg
 

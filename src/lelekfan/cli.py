@@ -168,10 +168,9 @@ def cmd_endpoints(args) -> int:
 
 def cmd_density(args) -> int:
     _require_count("--samples", args.samples)
-    require_nc(args.r, args.rho)
+    relation = _relation(args, "F")
     epsilon = parse_scalar(args.epsilon)
     delta = parse_scalar(args.delta)
-    relation = mahavier.fan_relation(args.r, args.rho)
     points = analysis.sample_deep_points(relation, args.depth, args.samples, args.seed)
     failures, max_bound, worst_delta = analysis.density_sweep(
         points, epsilon, args.r, args.rho, args.budget, delta

@@ -325,22 +325,28 @@ def is_degenerating(leg: Leg, threshold: Fraction = DEGENERACY_THRESHOLD) -> boo
 def _symbol_values(relation: RelationSpec, values, missing):
     """A function mapping a word's symbols to the values paired with the relation's slopes.
 
-    `values[i]` belongs to `relation.slopes[i]`. The relation's own slope
-    objects are found by `id`, which skips Fraction's uncached hash; a
-    symbol equal to a slope but a distinct object (a hand-built leg) is
-    found by value, and any other symbol `s` maps to `missing(s)`.
+    `values[i]` belongs to `relation.slopes[i]`; any other symbol `s` maps
+    to `missing(s)`. Every symbol object is looked up by value once, then
+    found by `id`, so Fraction's uncached hash runs at most once per
+    distinct object: a word of the relation's own slope objects costs no
+    hash at all. A `missing` that raises memoises nothing for its symbol.
     """
-    # by_value holds the slope objects themselves, so their ids stay valid.
     by_value = dict(zip(relation.slopes, values))
     by_id = {id(s): v for s, v in by_value.items()}
-
-    def by_equality(s):
-        v = by_value.get(s)
-        return missing(s) if v is None else v
+    # A memoised object that died could hand its id to a new object, so
+    # each one is kept alive as long as the lookup.
+    kept = list(relation.slopes)
 
     def lookup(symbols) -> list:
-        get = by_id.get
-        return [v if (v := get(id(s))) is not None else by_equality(s) for s in symbols]
+        try:
+            return list(map(by_id.__getitem__, map(id, symbols)))
+        except KeyError:
+            for s in symbols:
+                if id(s) not in by_id:
+                    v = by_value.get(s)
+                    by_id[id(s)] = missing(s) if v is None else v
+                    kept.append(s)
+            return list(map(by_id.__getitem__, map(id, symbols)))
 
     return lookup
 
@@ -465,6 +471,6 @@ def load_fan(path) -> FanApprox:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"not valid JSON: {path}: {exc}") from exc
     return fan_from_dict(data)

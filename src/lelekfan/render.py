@@ -42,8 +42,8 @@ class RenderConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("width and height must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise DomainError("width and height must be positive and finite")
         if not 0 < self.sweep < 180:
             raise DomainError(f"sweep must lie in (0, 180) degrees, got {self.sweep}")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):

@@ -23,6 +23,7 @@ from lelekfan import (
     ResourceError,
     ShapeError,
     Word,
+    angle_fractions,
     build_leg,
     cantor_relation,
     classify_endpoint,
@@ -46,6 +47,7 @@ from lelekfan import (
     verify_embedding,
 )
 from lelekfan import analysis
+from lelekfan.mahavier import word_formatter
 from oracles import (
     best_climb_max_by_enumeration,
     deep_points_reference,
@@ -651,6 +653,81 @@ def test_hausdorff_shared_legs_match_by_value(monkeypatch):
     wrong = Leg(leg.word, leg.prefix_products[:-1] + (leg.prefix_products[-1] * 2,), leg.t_max)
     assert directed_hausdorff(FanApprox(F, 3, (wrong,)), f_fan, grid=8)[0] > 0.0
     assert _leaf_far_ends(calls) == _far_ends([wrong])
+
+
+def _count_fraction_hashes(monkeypatch):
+    calls = [0]
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    return calls
+
+
+def test_symbol_index_hashes_each_symbol_object_once(monkeypatch):
+    # Under an equal but separately built relation no symbol of F's legs is
+    # one of its slope objects; each distinct symbol object is still hashed
+    # at most once per lookup (word_formatter, angle_fractions and the
+    # shared-leg lookup), besides the relation's own slopes, and every
+    # output equals the one under the fan's own relation.
+    f_fan = enumerate_legs(F, 5)
+    g_fan = enumerate_legs(cantor_relation(R), 5)
+    twin = fan_relation(Fraction(1, 2), 3)
+    assert twin == F and not any(s is t for s in twin.slopes for t in F.slopes)
+    f_twin = FanApprox(twin, 5, f_fan.legs)
+    g_twin = FanApprox(cantor_relation(Fraction(1, 2)), 5, g_fan.legs)
+
+    def bound(relation, *fans):
+        objects = {id(s) for fan in fans for leg in fan.legs for s in leg.word.symbols}
+        return len(objects) + len(relation.slopes)
+
+    expected_words = [word_formatter(F)(leg.word) for leg in f_fan.legs]
+    expected_angles = {m: angle_fractions(f_fan, m) for m in ("cantor", "uniform")}
+    expected_missing = list(analysis._legs_missing_from(f_fan, g_fan))
+    assert expected_missing
+
+    calls = _count_fraction_hashes(monkeypatch)
+    format_word = word_formatter(twin)
+    assert [format_word(leg.word) for leg in f_fan.legs] == expected_words
+    assert calls[0] <= bound(twin, f_fan)
+    for angle_map, expected in expected_angles.items():
+        calls[0] = 0
+        assert angle_fractions(f_twin, angle_map) == expected
+        assert calls[0] <= bound(twin, f_fan)
+    calls[0] = 0
+    assert list(analysis._legs_missing_from(g_fan, f_twin)) == []
+    assert calls[0] <= bound(twin, g_fan, f_twin)
+    calls[0] = 0
+    assert list(analysis._legs_missing_from(f_fan, g_twin)) == expected_missing
+    assert calls[0] <= bound(g_twin.relation, f_fan, g_twin)
+
+
+def test_hausdorff_symbols_outside_b_slopes(monkeypatch):
+    # Symbols outside b's slopes share one key, so of two such b legs only
+    # the last is found by the lookup; a copy of the other goes to the
+    # search, which still puts it at distance exactly 0. An a leg with a
+    # symbol absent from b is measured like any unshared leg.
+    calls = _record_search(monkeypatch)
+    g_fan = enumerate_legs(cantor_relation(R), 3)
+    first, last = (Word((R, Fraction(5, 7), RHO)), Word((R, Fraction(7, 5), RHO)))
+    b = FanApprox(g_fan.relation, 3, g_fan.legs + (build_leg(first), build_leg(last)))
+    assert directed_hausdorff(FanApprox(F, 3, (build_leg(last),)), b, grid=8)[0] == 0.0
+    assert calls == []
+    copy = build_leg(first)
+    assert directed_hausdorff(FanApprox(F, 3, (copy,)), b, grid=8)[0] == 0.0
+    assert _leaf_far_ends(calls) == _far_ends([copy])
+    calls.clear()
+
+    a = FanApprox(F, 3, (build_leg(Word((R, Fraction(5, 7), Fraction(1)))), build_leg(Word((RHO, R, R)))))
+    lower, _ = directed_hausdorff(a, b, grid=8)
+    assert _leaf_far_ends(calls) == _far_ends(a.legs)
+    exact = hausdorff_max_min_exact(
+        [leg.word.symbols for leg in a.legs], [leg.word.symbols for leg in b.legs], 8
+    )
+    assert lower > 0.0 and abs(lower - float(exact)) <= 1e-12
 
 
 def test_hausdorff_partially_shared_pair():

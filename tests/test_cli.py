@@ -366,6 +366,37 @@ def test_unreadable_or_unwritable_file_exits_3(capsys, tmp_path, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endpoints", "--in", "{tmp}/deep.json"],
+        ["render", "--in", "{tmp}/deep.json", "--out", "{tmp}/x.svg"],
+    ],
+    ids=["endpoints-in", "render-in"],
+)
+def test_deeply_nested_leg_file_exits_3(capsys, tmp_path, argv):
+    # json.load gives up on this nesting with a RecursionError; it must
+    # surface as an unreadable leg file, not as a crash (exit 1).
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("fan: not valid JSON: ")
+    assert captured.out == ""
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_density_error_order(capsys):
+    # A bad sample count is reported before a dependent pair, and a
+    # dependent pair before a bad epsilon.
+    assert main(["density", "--r", "1/2", "--rho", "2", "--samples", "0", "--epsilon", "x"]) == 3
+    assert "--samples must be a positive integer" in capsys.readouterr().err
+    assert main(["density", "--r", "1/2", "--rho", "2", "--samples", "5", "--epsilon", "x"]) == 2
+    capsys.readouterr()
+    assert main(["density", "--samples", "5", "--epsilon", "x"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_check_nc_past_the_digit_limit(capsys):
     code, data = run(capsys, "check-nc", "--r", "1/1" + "0" * 5000)
     assert code == 0

@@ -38,7 +38,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
-from lelekfan.mahavier import word_formatter
+from lelekfan.mahavier import _symbol_values, word_formatter
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -564,6 +564,19 @@ def test_word_formatter_finds_equal_but_distinct_symbols():
     for leg, copy in zip(fan.legs, copies.legs):
         assert format_word(copy.word) == format_word(leg.word)
     assert fan_to_dict(copies) == fan_to_dict(fan)
+
+
+def test_symbol_values_memoises_nothing_when_missing_raises():
+    def refuse(symbol):
+        raise DomainError(f"refused {symbol}")
+
+    lookup = _symbol_values(Q, range(len(Q.slopes)), refuse)
+    foreign = Fraction(5, 7)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="refused 5/7"):
+            lookup((Q.slopes[0], foreign))
+    copies = tuple(Fraction(s.numerator, s.denominator) for s in reversed(Q.slopes))
+    assert lookup(copies) == list(reversed(range(len(Q.slopes))))
 
 
 def test_fan_to_dict_writes_a_foreign_symbol():

@@ -144,6 +144,8 @@ LEG = build_leg(Word((R,)))
         (lambda: NcVerdict(False), ValueError, "witness must be present exactly"),
         (lambda: RenderConfig(width=0), DomainError, "width and height must be positive"),
         (lambda: RenderConfig(height=-5), DomainError, "width and height must be positive"),
+        (lambda: RenderConfig(width=math.nan), DomainError, "width and height must be positive and finite"),
+        (lambda: RenderConfig(height=math.inf), DomainError, "width and height must be positive and finite"),
         (lambda: RenderConfig(sweep=180), DomainError, r"sweep must lie in \(0, 180\) degrees, got 180"),
         (lambda: RenderConfig(angle_map="polar"), DomainError, "unknown angle map: 'polar'"),
         (
