@@ -225,11 +225,17 @@ def _verdict(point: PointPrefix, peak_index: int, delta) -> EndpointVerdict:
 
 
 def _min_k0(epsilon: Fraction) -> int:
-    """Smallest positive k0 with 2^-k0 <= epsilon (the metric tail from index k0)."""
-    k0 = 1
-    while Fraction(1, 1 << k0) > epsilon:
-        k0 += 1
-    return k0
+    """Smallest positive k0 with 2^-k0 <= epsilon (the metric tail from index k0).
+
+    For epsilon = p/q that is p * 2^k0 >= q. With k the difference of the
+    bit lengths of q and p, q/p lies in (2^(k-1), 2^(k+1)), so k0 is k or
+    k + 1, found by one shift and one comparison, not a division.
+    """
+    p, q = epsilon.numerator, epsilon.denominator
+    k = q.bit_length() - p.bit_length()
+    if k < 1:  # q/p < 2
+        return 1
+    return k if p << k >= q else k + 1
 
 
 def density_witness(

@@ -131,23 +131,31 @@ def cmd_endpoints(args) -> int:
         fan = mahavier.load_fan(args.infile)
     else:
         fan = _build_fan(args, args.relation)
-    kinds = dict.fromkeys((analysis.EXACT, analysis.APPROXIMATE, analysis.NOT_CERTIFIED), 0)
     legs_report = []
     degenerating = 0
     format_word = mahavier.word_formatter(fan.relation)
+    # Every tip is an exact end-point, so it is not built or classified:
+    # `_grow_legs` sets t_max = 1/max(1, P_1, ..., P_n), and `fan_from_dict`
+    # rejects a stored t_max that differs from it. The tip (t_max, P_1*t_max,
+    # ..., P_n*t_max) first reaches 1 at index 0 when t_max = 1, else at the
+    # index k of the first P_k = 1/t_max.
     for leg in fan.legs:
-        tip = mahavier.leg_point(leg, leg.t_max)
-        verdict = analysis.classify_endpoint(tip, delta)
-        kinds[verdict.kind] += 1
+        t_max = leg.t_max
+        peak_index = 0
+        if t_max != 1:
+            peak = (t_max.denominator, t_max.numerator)
+            for peak_index, p in enumerate(leg.prefix_products, 1):
+                if (p.numerator, p.denominator) == peak:
+                    break
         flagged = mahavier.is_degenerating(leg, threshold)
         degenerating += flagged
         legs_report.append(
             {
                 "word": format_word(leg.word),
-                "t_max": format_scalar(leg.t_max),
-                "kind": verdict.kind,
-                "peak_index": verdict.peak_index,
-                "peak_value": format_scalar(verdict.peak_value),
+                "t_max": format_scalar(t_max),
+                "kind": analysis.EXACT,
+                "peak_index": peak_index,
+                "peak_value": "1",
                 "degenerating": flagged,
             }
         )
@@ -157,7 +165,9 @@ def cmd_endpoints(args) -> int:
             "delta": format_scalar(delta),
             "degeneracy_threshold": format_scalar(threshold),
             "total": len(fan.legs),
-            **kinds,
+            analysis.EXACT: len(fan.legs),
+            analysis.APPROXIMATE: 0,
+            analysis.NOT_CERTIFIED: 0,
             "degenerating": degenerating,
             "legs": legs_report,
         },
@@ -283,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, metavar="M")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
-    p.add_argument("--delta", default=delta, help="approximate-certificate tolerance")
+    p.add_argument(
+        "--delta", default=delta,
+        help="every leg tip is exact, so this tolerance is only validated and echoed",
+    )
     p.add_argument(
         "--degeneracy-threshold",
         default=format_scalar(mahavier.DEGENERACY_THRESHOLD),

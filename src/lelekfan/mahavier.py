@@ -28,7 +28,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import DomainError, FormatError, RangeError, ResourceError, ShapeError
-from .scalars import format_scalar, parse_scalar
+from .scalars import _echo, format_scalar, parse_scalar
 
 DEFAULT_ENUM_BUDGET = 3**12
 
@@ -380,13 +380,13 @@ def fan_to_dict(fan: FanApprox) -> dict:
 
 def _list_field(value, what: str) -> list:
     if type(value) is not list:
-        raise FormatError(f"malformed leg file: {what} {value!r} is not a list")
+        raise FormatError(f"malformed leg file: {what} {_echo(repr(value))} is not a list")
     return value
 
 
 def _parse_text(text, what: str) -> Fraction:
     if type(text) is not str:
-        raise FormatError(f"malformed leg file: {what} {text!r} is not a string")
+        raise FormatError(f"malformed leg file: {what} {_echo(repr(text))} is not a string")
     return parse_scalar(text)
 
 
@@ -409,7 +409,7 @@ def fan_from_dict(data: dict) -> FanApprox:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed leg file: {exc}") from exc
     if type(depth) is not int:
-        raise FormatError(f"malformed leg file: depth {depth!r} is not an integer")
+        raise FormatError(f"malformed leg file: depth {_echo(repr(depth))} is not an integer")
     relation = RelationSpec(
         tuple(_parse_text(s, "slope") for s in _list_field(slope_texts, "slopes"))
     )
@@ -419,14 +419,15 @@ def fan_from_dict(data: dict) -> FanApprox:
 
     def symbols_of(raw) -> tuple[Fraction, ...]:
         if type(raw) is not dict:
-            raise FormatError(f"malformed leg file: leg {raw!r} is not an object")
+            raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
         for key in ("word", "t_max"):
             if key not in raw:
-                raise FormatError(f"malformed leg file: leg {raw!r} has no {key!r}")
+                raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} has no {key!r}")
         word_texts = _list_field(raw["word"], "word")
         if len(word_texts) != depth:
             raise FormatError(
-                f"word {word_texts} has length {len(word_texts)}, expected depth {depth}"
+                f"word {_echo(str(word_texts))} has length {len(word_texts)}, "
+                f"expected depth {depth}"
             )
         symbols = []
         for text in word_texts:
@@ -436,7 +437,7 @@ def fan_from_dict(data: dict) -> FanApprox:
                 symbol = own_slope.get(value)
                 if symbol is None:
                     raise FormatError(
-                        f"symbol {format_scalar(value)} is not a slope of the relation"
+                        f"symbol {_echo(format_scalar(value))} is not a slope of the relation"
                     )
                 symbol_of[text] = symbol
             symbols.append(symbol)
@@ -453,8 +454,8 @@ def fan_from_dict(data: dict) -> FanApprox:
             stored = t_max_of[text] = _parse_text(text, "t_max")
         if stored != leg.t_max:
             raise FormatError(
-                f"stored t_max {text} disagrees with recomputed "
-                f"{format_scalar(leg.t_max)} for word {raw['word']}"
+                f"stored t_max {_echo(text)} disagrees with recomputed "
+                f"{_echo(format_scalar(leg.t_max))} for word {_echo(str(raw['word']))}"
             )
         legs.append(leg)
     return FanApprox(relation, depth, tuple(legs))

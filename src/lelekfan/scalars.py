@@ -27,6 +27,16 @@ DEFAULT_PRIME_BOUND = 10**6
 
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
+# The most characters of an input value that one error message echoes.
+_ECHO_LIMIT = 200
+
+
+def _echo(text: str) -> str:
+    """`text` for an error message, cut to _ECHO_LIMIT characters and marked when cut."""
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
 
 def _digits(n: int) -> str:
     # The same text as str(n), for integers of any size.
@@ -37,11 +47,11 @@ def parse_scalar(text: str) -> Fraction:
     """Parse a "p/q" or "p" literal into an exact rational."""
     m = _SCALAR_RE.match(text.strip())
     if m is None:
-        raise FormatError(f"not a rational literal: {text!r} (expected p or p/q)")
+        raise FormatError(f"not a rational literal: {_echo(repr(text))} (expected p or p/q)")
     numerator = int(Decimal(m.group(1)))
     denominator = int(Decimal(m.group(2))) if m.group(2) else 1
     if denominator == 0:
-        raise FormatError(f"zero denominator: {text!r}")
+        raise FormatError(f"zero denominator: {_echo(repr(text))}")
     return Fraction(numerator, denominator)
 
 

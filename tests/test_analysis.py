@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,40 @@ def test_density_witness_non_positive_epsilon_is_domain_error():
 def test_density_witness_prefix_too_short():
     with pytest.raises(DomainError, match="tail"):
         density_witness(PointPrefix((Fraction(2, 5),) * 3), Fraction(1, 256), R, RHO)
+
+
+def _min_k0_by_loop(epsilon: Fraction) -> int:
+    k0 = 1
+    while Fraction(1, 1 << k0) > epsilon:
+        k0 += 1
+    return k0
+
+
+def test_min_k0_matches_the_loop():
+    rng = random.Random(5)
+    epsilons = [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(7), Fraction(10**6, 3)]
+    for k in range(200):
+        power = Fraction(1, 1 << k)
+        epsilons += [power, power * Fraction(1001, 1000), power * Fraction(999, 1000)]
+    epsilons += [Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**12)) for _ in range(1000)]
+    for epsilon in epsilons:
+        assert analysis._min_k0(epsilon) == _min_k0_by_loop(epsilon), epsilon
+
+
+def test_min_k0_is_fast_at_a_million_bits():
+    # The loop took time quadratic in epsilon's size: 0.24 s at 3 * 10^4 bits.
+    for epsilon in (
+        Fraction(1, 1 << 10**6),
+        Fraction(1, 3**630000),
+        Fraction(7**20, (1 << 10**6) + 1),
+    ):
+        start = time.perf_counter()
+        k0 = analysis._min_k0(epsilon)
+        assert time.perf_counter() - start < 0.05
+        # 2^-k0 <= epsilon < 2^-(k0 - 1), compared as integers
+        p, q = epsilon.numerator, epsilon.denominator
+        assert p << k0 >= q > p << (k0 - 1)
+    assert analysis._min_k0(Fraction(1, 1 << 10**6)) == 10**6
 
 
 def test_density_witness_requires_nc():

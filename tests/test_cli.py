@@ -12,13 +12,18 @@ import pytest
 
 import lelekfan
 from lelekfan import (
+    cantor_relation,
+    classify_endpoint,
     enumerate_legs,
     fan_relation,
+    format_scalar,
     greedy_sequence,
     hausdorff,
+    leg_point,
     line_pair_relation,
     load_fan,
     parse_scalar,
+    sample_legs,
 )
 from lelekfan.cli import main
 
@@ -49,6 +54,10 @@ def test_check_nc_precondition_exit(capsys):
 
 def test_bad_scalar_literal_is_precondition_exit(capsys):
     assert main(["check-nc", "--r", "abc", "--rho", "3"]) == 3
+    # The echo of a huge literal is cut.
+    assert main(["endpoints", "--delta", "x" * 10**6]) == 3
+    err = capsys.readouterr().err
+    assert len(err) < 1024 and "not a rational literal: 'xxx" in err
 
 
 def test_unknown_flag_exits_64():
@@ -228,6 +237,62 @@ def test_endpoints_degeneracy_flag(capsys):
     assert data["degenerating"] > 0  # all-rho words have t_max = 3^-6 < 1/600
 
 
+def _classified_tips(fan, delta):
+    # The reference path: build every tip and classify it.
+    report = {"total": len(fan.legs), "exact": 0, "approximate": 0, "not_certified": 0}
+    legs = []
+    for leg in fan.legs:
+        verdict = classify_endpoint(leg_point(leg, leg.t_max), delta)
+        report[verdict.kind] += 1
+        legs.append((verdict.kind, verdict.peak_index, format_scalar(verdict.peak_value)))
+    return report, legs
+
+
+def _check_endpoints_against_classified_tips(capsys, fan, argv):
+    for delta in ("0", "1/2"):
+        code, data = run(capsys, "endpoints", *argv, "--delta", delta)
+        assert code == 0
+        report, legs = _classified_tips(fan, parse_scalar(delta))
+        assert {key: data[key] for key in report} == report
+        assert [(leg["kind"], leg["peak_index"], leg["peak_value"]) for leg in data["legs"]] == legs
+        assert [leg["t_max"] for leg in data["legs"]] == [format_scalar(leg.t_max) for leg in fan.legs]
+
+
+RELATION_OF = {"F": fan_relation, "G": lambda r, rho: cantor_relation(r), "Lrr": line_pair_relation}
+
+
+@pytest.mark.parametrize(
+    "relation, r, rho",
+    [
+        (relation, r, rho)
+        for relation in RELATION_OF
+        for r, rho in (("1/2", "3"), ("2/3", "7/2"), ("3/2", "5"))
+        if relation != "F" or r != "3/2"  # F needs a never-connect pair, so r < 1
+    ],
+)
+def test_endpoints_report_matches_classified_tips(capsys, relation, r, rho):
+    # With r = 3/2 every G word starting with r peaks past index 0.
+    spec = RELATION_OF[relation](parse_scalar(r), parse_scalar(rho))
+    for depth in range(6):
+        fan = enumerate_legs(spec, depth)
+        argv = ["--relation", relation, "--r", r, "--rho", rho, "--depth", str(depth)]
+        _check_endpoints_against_classified_tips(capsys, fan, argv)
+
+
+def test_sampled_and_loaded_endpoints_match_classified_tips(capsys, tmp_path):
+    legs = sample_legs(fan_relation(Fraction(1, 2), Fraction(3)), 40, 40, 0)
+    fan = lelekfan.FanApprox(fan_relation(Fraction(1, 2), Fraction(3)), 40, legs)
+    _check_endpoints_against_classified_tips(capsys, fan, ["--sample", "40", "--depth", "40"])
+    path = tmp_path / "legs.json"
+    for argv in (
+        ["--depth", "5"],
+        ["--relation", "Lrr", "--r", "3/2", "--rho", "5", "--depth", "40", "--sample", "50"],
+    ):
+        assert main(["build", *argv, "--out", str(path)]) == 0
+        capsys.readouterr()
+        _check_endpoints_against_classified_tips(capsys, load_fan(path), ["--in", str(path)])
+
+
 def test_density_small_run(capsys, tmp_path):
     report_path = tmp_path / "density.json"
     code, data = run(
@@ -384,6 +449,54 @@ def test_deeply_nested_leg_file_exits_3(capsys, tmp_path, argv):
     assert captured.err.startswith("fan: not valid JSON: ")
     assert captured.out == ""
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        ("legs", "malformed leg file: legs 'xxx"),
+        ("depth", "malformed leg file: depth 'xxx"),
+        ("slopes", "malformed leg file: slopes 'xxx"),
+        ("slope", "not a rational literal: 'xxx"),
+        ("leg", "malformed leg file: leg 'xxx"),
+        ("word", "malformed leg file: word 'xxx"),
+        ("word-length", "has length 100000, expected depth 1"),
+        ("symbol", "is not a slope of the relation"),
+        ("t_max", "stored t_max"),
+    ],
+)
+def test_leg_file_errors_echo_a_bounded_value(capsys, tmp_path, case, names):
+    huge = "7" * 10**5
+    data = {
+        "relation": {"slopes": ["1/2", "1", "3"]},
+        "depth": 1,
+        "legs": [{"word": ["3"], "t_max": "1/3"}],
+    }
+    if case == "legs":
+        data["legs"] = "x" * 10**6
+    elif case == "depth":
+        data["depth"] = "x" * 10**6
+    elif case == "slopes":
+        data["relation"]["slopes"] = "x" * 10**6
+    elif case == "slope":
+        data["relation"]["slopes"][0] = "x" * 10**6
+    elif case == "leg":
+        data["legs"] = ["x" * 10**6]
+    elif case == "word":
+        data["legs"][0]["word"] = "x" * 10**6
+    elif case == "word-length":
+        data["legs"][0]["word"] = ["3"] * 10**5
+    elif case == "symbol":
+        data["legs"][0]["word"] = [huge]
+    else:
+        data["legs"][0]["t_max"] = "1/" + huge
+    path = tmp_path / "legs.json"
+    path.write_text(json.dumps(data))
+    assert main(["endpoints", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("fan: ") and names in captured.err
 
 
 def test_density_error_order(capsys):

@@ -3,14 +3,40 @@
 from __future__ import annotations
 
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
+
+from lelekfan.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _python_blocks():
     return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def _cli_lines():
+    """Each `fan ...` line of the README's sh blocks, as (argv, expected exit code)."""
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)
+            if argv[:1] == ["fan"]:
+                code = re.search(r"\bexit (\d+)", comment)
+                lines.append((argv[1:], int(code.group(1)) if code else 0))
+    return lines
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # In order: the build lines write the leg file that later lines read.
+    lines = _cli_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv, code in lines:
+        assert main(argv) == code, argv
+    capsys.readouterr()
 
 
 def test_readme_library_block_runs():
