@@ -29,16 +29,7 @@ from .analysis import (
     sample_resolution,
     verify_embedding,
 )
-from .errors import (
-    DomainError,
-    FanError,
-    FormatError,
-    NcViolation,
-    PreconditionError,
-    RangeError,
-    ResourceError,
-    ShapeError,
-)
+from .errors import DomainError, FanError, FormatError, NcViolation, ResourceError
 from .mahavier import (
     DEFAULT_ENUM_BUDGET,
     DEGENERACY_THRESHOLD,

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._value import Value
-from .errors import DomainError, ResourceError, ShapeError
+from .errors import DomainError, ResourceError
 from .mahavier import (
     FanApprox,
     PointPrefix,
@@ -37,7 +37,7 @@ from .mahavier import (
     DEFAULT_ENUM_BUDGET,
 )
 from .nc import require_nc
-from .scalars import format_scalar
+from .scalars import _digits, _echo, format_scalar
 
 DEFAULT_GREEDY_BUDGET = 10**4
 DEFAULT_ORACLE_BUDGET = 20
@@ -85,9 +85,9 @@ def _climb_start(x, steps: int) -> Fraction:
     """The start x as a Fraction: a DomainError unless 0 < x < 1, then unless steps >= 0."""
     x = Fraction(x)
     if not 0 < x < 1:
-        raise DomainError(f"start must lie in (0, 1), got {format_scalar(x)}")
+        raise DomainError(f"start must lie in (0, 1), got {_echo(format_scalar(x))}")
     if steps < 0:
-        raise DomainError(f"steps must be non-negative, got {steps}")
+        raise DomainError(f"steps must be non-negative, got {_echo(_digits(steps))}")
     return x
 
 
@@ -157,7 +157,9 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     x = _climb_start(x, steps)
     r, rho = Fraction(r), Fraction(rho)
     if steps > DEFAULT_ORACLE_BUDGET:
-        raise ResourceError(f"steps = {steps} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
+        raise ResourceError(
+            f"steps = {_echo(_digits(steps))} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}"
+        )
     slopes = ((rho, rho.numerator, rho.denominator), (r, r.numerator, r.denominator))
     path: list[Fraction] = []
     best_path: tuple[Fraction, ...] = ()
@@ -282,7 +284,7 @@ def density_witness(
     if k0 > len(x.coords):
         raise DomainError(
             f"a prefix of length {len(x.coords)} cannot certify epsilon = "
-            f"{format_scalar(epsilon)}: its tail bound alone is "
+            f"{_echo(format_scalar(epsilon))}: its tail bound alone is "
             f"2^-{len(x.coords)}"
         )
     start = x.coords[k0 - 1]
@@ -303,8 +305,8 @@ def density_witness(
     bound = value + tail
     if bound > epsilon:
         raise DomainError(
-            f"witness bound {format_scalar(bound)} exceeds epsilon = "
-            f"{format_scalar(epsilon)}; the input prefix is too short"
+            f"witness bound {_echo(format_scalar(bound))} exceeds epsilon = "
+            f"{_echo(format_scalar(epsilon))}; the input prefix is too short"
         )
     # The climb starts at prefix[-1], and its running max is that start or
     # the partial object where the max was first reached; e's first maximal
@@ -611,7 +613,7 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     on every fan the tests compare.
     """
     if a.depth != b.depth:
-        raise ShapeError(f"depth mismatch: {a.depth} vs {b.depth}")
+        raise DomainError(f"depth mismatch: {a.depth} vs {b.depth}")
     # sample_resolution checks grid and a's legs first.
     padding = 0.5 * sample_resolution(a, grid)
     _require_legs(b)
@@ -662,12 +664,19 @@ def verify_embedding(
     schedule: the part of DENSITY_EPSILONS whose kept prefix of k0
     coordinates fits in depth + 1. Returns a report dict with one
     pass/fail entry per check and a first counterexample where applicable.
-    Requires samples >= 1, so the density checks never pass on no points.
+    Requires samples >= 1 and depth >= 3, so the density checks never pass
+    on no points and the schedule is never empty.
     """
     if samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples}")
+        raise DomainError(f"samples must be a positive integer, got {_echo(_digits(samples))}")
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
+    schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth + 1]
+    if not schedule:
+        raise DomainError(
+            f"depth {_echo(_digits(depth))} schedules no density check; "
+            "depth 3 is the smallest depth that schedules epsilon = 1/16"
+        )
     full = fan_relation(r, rho)
     fan_full = enumerate_legs(full, depth, budget)
     fan_sub = enumerate_legs(cantor_relation(r), depth, budget)
@@ -697,7 +706,6 @@ def verify_embedding(
     ]
 
     points = sample_points(fan_full, samples, seed)
-    schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth + 1]
     for eps in schedule:
         failures, _, _ = density_sweep(points, eps, r, rho, extension_budget, DEFAULT_DELTA)
         checks.append(

@@ -15,7 +15,7 @@ import sys
 from . import analysis, mahavier, render
 from .errors import DomainError, FanError, NcViolation, ResourceError
 from .nc import check_nc, require_nc
-from .scalars import format_scalar, parse_scalar
+from .scalars import _digits, _echo, format_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -64,7 +64,7 @@ def _relation(args, kind: str) -> mahavier.RelationSpec:
 
 def _require_count(name: str, count: int) -> None:
     if count < 1:
-        raise DomainError(f"{name} must be a positive integer, got {count}")
+        raise DomainError(f"{name} must be a positive integer, got {_echo(_digits(count))}")
 
 
 def _build_fan(args, kind: str) -> mahavier.FanApprox:
@@ -100,7 +100,8 @@ def cmd_greedy(args) -> int:
     _require_count("--steps", args.steps)
     if args.steps > analysis.DEFAULT_GREEDY_BUDGET:
         raise ResourceError(
-            f"--steps {args.steps} exceeds the greedy budget {analysis.DEFAULT_GREEDY_BUDGET}"
+            f"--steps {_echo(_digits(args.steps))} exceeds the greedy budget "
+            f"{analysis.DEFAULT_GREEDY_BUDGET}"
         )
     trace = analysis.greedy_sequence(
         parse_scalar(args.x), args.r, args.rho, args.steps

@@ -1,7 +1,13 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one type per kind of failure.
 
-Library code raises these and never calls sys.exit; the CLI maps them to
-exit codes in cli.py.
+Library code raises these and never calls sys.exit; `cli.main` maps them
+to exit codes. Every type derives from FanError:
+
+- DomainError: an input outside the paper's hypotheses or an operation's
+  domain (a range, a length, a depth, a point off the relation), exit 3;
+- FormatError: malformed serialized input, exit 3;
+- NcViolation: a multiplicatively dependent slope pair, exit 2;
+- ResourceError: an enumeration or search budget exceeded, exit 4.
 """
 
 
@@ -13,24 +19,12 @@ class DomainError(FanError):
     """A value lies outside the mathematical domain of an operation."""
 
 
-class PreconditionError(FanError):
-    """A stated operation precondition was violated (e.g. slope range checks)."""
-
-
 class NcViolation(FanError):
     """A slope pair is multiplicatively dependent where independence is required."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class RangeError(FanError):
-    """A parameter falls outside its admissible interval."""
-
-
-class ShapeError(FanError):
-    """Operands have incompatible lengths or depths."""
 
 
 class ResourceError(FanError):

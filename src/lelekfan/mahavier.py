@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd
 
 from ._value import Value
-from .errors import DomainError, FormatError, RangeError, ResourceError, ShapeError
-from .scalars import _echo, format_scalar, parse_scalar
+from .errors import DomainError, FormatError, ResourceError
+from .scalars import _digits, _echo, format_scalar, parse_scalar
 
 DEFAULT_ENUM_BUDGET = 3**12
 
@@ -52,7 +52,7 @@ class RelationSpec(Value, namedtuple("RelationSpec", "slopes")):
             raise DomainError("a relation needs at least one slope")
         for s in slopes:
             if s <= 0:
-                raise DomainError(f"slopes must be positive, got {format_scalar(s)}")
+                raise DomainError(f"slopes must be positive, got {_echo(format_scalar(s))}")
         if len(set(slopes)) != len(slopes):
             raise DomainError("slopes must be pairwise distinct")
         return tuple.__new__(cls, (slopes,))
@@ -136,7 +136,7 @@ class PointPrefix(Value, namedtuple("PointPrefix", "coords")):
         # Denominators are positive, so 0 <= c <= 1 is 0 <= p <= q for c = p/q.
         for c in coords:
             if not 0 <= c.numerator <= c.denominator:
-                raise DomainError(f"coordinate {format_scalar(c)} outside [0, 1]")
+                raise DomainError(f"coordinate {_echo(format_scalar(c))} outside [0, 1]")
         return tuple.__new__(cls, (coords,))
 
     def __len__(self) -> int:
@@ -156,7 +156,7 @@ class FanApprox(Value, namedtuple("FanApprox", "relation depth legs")):
             raise DomainError("depth must be non-negative")
         for leg in legs:
             if leg.depth != depth:
-                raise ShapeError(
+                raise DomainError(
                     f"leg of depth {leg.depth} in a depth-{depth} approximation"
                 )
         return tuple.__new__(cls, (relation, depth, legs))
@@ -232,7 +232,7 @@ def build_leg(word: Word) -> Leg:
     """Compute a word's prefix products and parameter cap exactly."""
     for s in word.symbols:
         if s.numerator <= 0:
-            raise DomainError(f"word symbols must be positive, got {format_scalar(s)}")
+            raise DomainError(f"word symbols must be positive, got {_echo(format_scalar(s))}")
     return next(_grow_legs((word.symbols,)))
 
 
@@ -240,8 +240,9 @@ def leg_point(leg: Leg, t) -> PointPrefix:
     """The leg's point at parameter t: (t, P_1*t, ..., P_n*t)."""
     t = Fraction(t)
     if not 0 <= t <= leg.t_max:
-        raise RangeError(
-            f"parameter {format_scalar(t)} outside [0, {format_scalar(leg.t_max)}]; "
+        raise DomainError(
+            f"parameter {_echo(format_scalar(t))} outside "
+            f"[0, {_echo(format_scalar(leg.t_max))}]; "
             "the point would leave the unit cube"
         )
     return PointPrefix((t,) + tuple(p * t for p in leg.prefix_products))
@@ -262,11 +263,16 @@ def enumerate_legs(
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    total = len(relation.slopes) ** depth
-    if total > budget:
+    count = len(relation.slopes)
+    # With two or more slopes count^depth >= 2^depth, which exceeds the
+    # budget once depth > budget.bit_length(): such a depth is refused
+    # without computing the power.
+    too_deep = count > 1 and depth > budget.bit_length()
+    if too_deep or count**depth > budget:
+        total = "" if too_deep else f" = {_echo(_digits(count**depth))}"
         raise ResourceError(
-            f"{len(relation.slopes)}^{depth} = {total} legs exceeds the budget "
-            f"{budget}; use sampling instead (sample_legs / --sample)"
+            f"{count}^{_echo(_digits(depth))}{total} legs exceeds the budget "
+            f"{_echo(_digits(budget))}; use sampling instead (sample_legs / --sample)"
         )
     words = itertools.product(relation.slopes, repeat=depth)
     return FanApprox(relation, depth, tuple(_grow_legs(words)))
@@ -301,7 +307,7 @@ def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction
     skipped; every other term is built as one Fraction from integers.
     """
     if len(p.coords) != len(q.coords):
-        raise ShapeError(
+        raise DomainError(
             f"prefix lengths differ: {len(p.coords)} vs {len(q.coords)}"
         )
     value = Fraction(0)
@@ -427,7 +433,7 @@ def fan_from_dict(data: dict) -> FanApprox:
         if len(word_texts) != depth:
             raise FormatError(
                 f"word {_echo(str(word_texts))} has length {len(word_texts)}, "
-                f"expected depth {depth}"
+                f"expected depth {_echo(_digits(depth))}"
             )
         symbols = []
         for text in word_texts:
@@ -472,6 +478,8 @@ def load_fan(path) -> FanApprox:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, malformed JSON and an integer
+        # literal past Python's int/str conversion limit.
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"not valid JSON: {path}: {exc}") from exc
     return fan_from_dict(data)

@@ -12,8 +12,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from ._value import Value
-from .errors import NcViolation, PreconditionError
-from .scalars import factor, format_scalar
+from .errors import DomainError, NcViolation
+from .scalars import _echo, factor, format_scalar
 
 
 class NcVerdict(Value, namedtuple("NcVerdict", "is_nc witness")):
@@ -48,7 +48,7 @@ def check_nc(r: Fraction, rho: Fraction) -> NcVerdict:
     `r` and `rho` are converted with `Fraction(...)` unless they already are
     exactly of type Fraction (ints, strings, floats and Fraction subclasses
     are converted), so the range tests below compare integers in lowest
-    terms. Raises PreconditionError when the pair is outside
+    terms. Raises DomainError when the pair is outside
     0 < r < 1 < rho; a wrong range is a different failure from
     multiplicative dependence and is never reported as is_nc=False.
     """
@@ -58,12 +58,12 @@ def check_nc(r: Fraction, rho: Fraction) -> NcVerdict:
         rho = Fraction(rho)
     # Denominators are positive, so 0 < r < 1 is 0 < p < q for r = p/q.
     if not 0 < r.numerator < r.denominator:
-        raise PreconditionError(
-            f"never-connect requires 0 < r < 1, got r = {format_scalar(r)}"
+        raise DomainError(
+            f"never-connect requires 0 < r < 1, got r = {_echo(format_scalar(r))}"
         )
     if not rho.numerator > rho.denominator:
-        raise PreconditionError(
-            f"never-connect requires rho > 1, got rho = {format_scalar(rho)}"
+        raise DomainError(
+            f"never-connect requires rho > 1, got rho = {_echo(format_scalar(rho))}"
         )
     exp_r = factor(r)
     exp_rho = factor(rho)
@@ -90,6 +90,7 @@ def require_nc(r: Fraction, rho: Fraction) -> None:
         k, l = verdict.witness
         raise NcViolation(
             f"slopes are multiplicatively dependent: "
-            f"({format_scalar(Fraction(r))})^{k} == ({format_scalar(Fraction(rho))})^{l}",
+            f"({_echo(format_scalar(Fraction(r)))})^{k} == "
+            f"({_echo(format_scalar(Fraction(rho)))})^{l}",
             witness=verdict.witness,
         )

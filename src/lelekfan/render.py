@@ -47,7 +47,7 @@ class RenderConfig(
         if not 0 < self.sweep < 180:
             raise DomainError(f"sweep must lie in (0, 180) degrees, got {self.sweep}")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):
-            raise DomainError(f"unknown angle map: {self.angle_map!r}")
+            raise DomainError(f"unknown angle map: {_echo(repr(self.angle_map))}")
         if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
             raise DomainError(
                 f"stroke width must be positive and finite, got {self.stroke_width}"
@@ -100,7 +100,7 @@ def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]
             x = Fraction(rank, count - 1) if count > 1 else Fraction(1, 2)
             pairs.append((leg, x))
     else:
-        raise DomainError(f"unknown angle map: {angle_map!r}")
+        raise DomainError(f"unknown angle map: {_echo(repr(angle_map))}")
     return pairs
 
 

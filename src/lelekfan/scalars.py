@@ -43,13 +43,30 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
+# The longest digit string converted by one int(Decimal(...)) call. That
+# conversion takes time quadratic in the length, so longer strings are
+# split in halves and the halves' integers combined.
+_LEAF_DIGITS = 4000
+
+
+def _parse_int(text: str) -> int:
+    """The integer of an optionally signed decimal digit string of any length."""
+    if len(text) <= _LEAF_DIGITS:
+        return int(Decimal(text))
+    if text[0] in "+-":
+        n = _parse_int(text[1:])
+        return -n if text[0] == "-" else n
+    k = len(text) // 2
+    return _parse_int(text[:-k]) * 10**k + _parse_int(text[-k:])
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a "p/q" or "p" literal into an exact rational."""
     m = _SCALAR_RE.match(text.strip())
     if m is None:
         raise FormatError(f"not a rational literal: {_echo(repr(text))} (expected p or p/q)")
-    numerator = int(Decimal(m.group(1)))
-    denominator = int(Decimal(m.group(2))) if m.group(2) else 1
+    numerator = _parse_int(m.group(1))
+    denominator = _parse_int(m.group(2)) if m.group(2) else 1
     if denominator == 0:
         raise FormatError(f"zero denominator: {_echo(repr(text))}")
     return Fraction(numerator, denominator)
@@ -140,7 +157,9 @@ def _trial_division(n: int) -> dict[int, int]:
         # so a leftover within the bound is prime; past it, n has a factor
         # trial division cannot reach.
         if n > DEFAULT_PRIME_BOUND:
-            raise ResourceError(f"factor {n} exceeds the prime bound {DEFAULT_PRIME_BOUND}")
+            raise ResourceError(
+                f"factor {_echo(_digits(n))} exceeds the prime bound {DEFAULT_PRIME_BOUND}"
+            )
         exponents[n] = 1
     return exponents
 
@@ -160,7 +179,7 @@ def factor(q: Fraction) -> dict[int, int]:
         q = Fraction(q)
     numerator, denominator = q.numerator, q.denominator
     if numerator <= 0:
-        raise DomainError(f"factor requires a positive rational, got {format_scalar(q)}")
+        raise DomainError(f"factor requires a positive rational, got {_echo(format_scalar(q))}")
     exponents = _trial_division(numerator)
     for p, e in _trial_division(denominator).items():
         exponents[p] = -e

@@ -21,17 +21,20 @@ from lelekfan import (
     NOT_CERTIFIED,
     NcViolation,
     PointPrefix,
+    RelationSpec,
+    RenderConfig,
     ResourceError,
-    ShapeError,
     Word,
     angle_fractions,
     build_leg,
     cantor_relation,
+    check_nc,
     classify_endpoint,
     density_sweep,
     density_witness,
     directed_hausdorff,
     enumerate_legs,
+    factor,
     fan_relation,
     format_scalar,
     greedy_sequence,
@@ -1036,7 +1039,7 @@ def test_hausdorff_empty_fan_is_domain_error(a_empty, b_empty):
 
 
 def test_hausdorff_shape_and_grid_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="depth mismatch: 3 vs 4"):
         hausdorff(enumerate_legs(F, 3), enumerate_legs(F, 4))
     with pytest.raises(DomainError, match="grid must be a positive integer"):
         hausdorff(enumerate_legs(F, 3), enumerate_legs(F, 3), grid=0)
@@ -1056,9 +1059,17 @@ def test_verify_embedding_passes():
     assert report["epsilons"] == ["1/16", "1/64"]
 
 
-def test_verify_embedding_depth_zero_vacuous():
-    report = verify_embedding(R, RHO, depth=0, samples=5, seed=1)
-    assert report["pass"]
+def test_verify_embedding_rejects_depth_below_3():
+    # Below depth 3 no density epsilon is scheduled, and the report would
+    # pass on its structural checks alone.
+    for depth in (0, 1, 2):
+        with pytest.raises(
+            DomainError,
+            match=f"depth {depth} schedules no density check; "
+            "depth 3 is the smallest depth that schedules epsilon = 1/16",
+        ):
+            verify_embedding(R, RHO, depth=depth, samples=5, seed=1)
+    assert verify_embedding(R, RHO, depth=3, samples=5, seed=1)["epsilons"] == ["1/16"]
 
 
 @pytest.mark.parametrize("samples", [0, -4])
@@ -1074,15 +1085,15 @@ def test_verify_embedding_rejects_dependent_pair():
 
 
 def _embedding_checks(monkeypatch, full_legs, sub_legs):
-    # verify_embedding on hand-built depth-2 fans; depth 2 is too shallow
-    # for any density epsilon, so only the three structural checks run.
+    # verify_embedding on hand-built depth-3 fans; depth 3 schedules the
+    # density epsilon 1/16 only, and the structural checks come first.
     fans = {
-        F: FanApprox(F, 2, tuple(full_legs)),
-        cantor_relation(R): FanApprox(cantor_relation(R), 2, tuple(sub_legs)),
+        F: FanApprox(F, 3, tuple(full_legs)),
+        cantor_relation(R): FanApprox(cantor_relation(R), 3, tuple(sub_legs)),
     }
     monkeypatch.setattr(analysis, "enumerate_legs", lambda relation, depth, budget: fans[relation])
-    report = verify_embedding(R, RHO, depth=2, samples=5, seed=3)
-    assert report["epsilons"] == []
+    report = verify_embedding(R, RHO, depth=3, samples=5, seed=3)
+    assert report["epsilons"] == ["1/16"]
     assert all(list(c) == ["name", "pass", "counterexample"] for c in report["checks"])
     return report["checks"]
 
@@ -1092,15 +1103,21 @@ def _passed(name):
 
 
 def test_verify_embedding_counterexamples(monkeypatch):
-    full = list(enumerate_legs(F, 2).legs)
-    sub = list(enumerate_legs(cantor_relation(R), 2).legs)
+    full = list(enumerate_legs(F, 3).legs)
+    sub = list(enumerate_legs(cantor_relation(R), 3).legs)
 
-    # G-words (1, 1/2) and (1, 1) are missing from F; the first is reported.
+    # The four G-words that start with 1 are missing from F; the first,
+    # (1, 1/2, 1/2), is reported.
     missing = [leg for leg in full if leg.word.symbols[0] != 1]
     assert _embedding_checks(monkeypatch, missing, sub) == [
-        {"name": "g-legs-are-f-legs", "pass": False, "counterexample": {"word": ["1", "1/2"]}},
+        {
+            "name": "g-legs-are-f-legs",
+            "pass": False,
+            "counterexample": {"word": ["1", "1/2", "1/2"]},
+        },
         _passed("g-legs-full-length"),
         _passed("leg-injectivity"),
+        _passed("density-epsilon-1/16"),
     ]
 
     # Two G-legs capped below 1, in both fans; the first is reported.
@@ -1116,9 +1133,10 @@ def test_verify_embedding_counterexamples(monkeypatch):
         {
             "name": "g-legs-full-length",
             "pass": False,
-            "counterexample": {"word": ["1/2", "1"], "t_max": "1/2"},
+            "counterexample": {"word": ["1/2", "1/2", "1"], "t_max": "1/2"},
         },
         _passed("leg-injectivity"),
+        _passed("density-epsilon-1/16"),
     ]
 
     # F-legs 5 and 8 repeat the prefix products of legs 2 and 0; the
@@ -1133,6 +1151,64 @@ def test_verify_embedding_counterexamples(monkeypatch):
         {
             "name": "leg-injectivity",
             "pass": False,
-            "counterexample": {"words": [["1/2", "3"], ["1", "3"]]},
+            "counterexample": {"words": [["1/2", "1/2", "3"], ["1/2", "1", "3"]]},
         },
+        _passed("density-epsilon-1/16"),
     ]
+
+
+HUGE = Fraction(10**5000 + 7)  # past Python's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize(
+    "refuse, error, names",
+    [
+        (lambda: RelationSpec((R, -HUGE)), DomainError, "slopes must be positive, got -1000"),
+        (lambda: PointPrefix((HUGE,)), DomainError, "coordinate 1000"),
+        (lambda: build_leg(Word((-HUGE,))), DomainError, "word symbols must be positive, got -1000"),
+        (lambda: leg_point(build_leg(Word((HUGE,))), HUGE), DomainError, "parameter 1000"),
+        (lambda: factor(-HUGE), DomainError, "factor requires a positive rational, got -1000"),
+        (lambda: check_nc(HUGE, RHO), DomainError, "requires 0 < r < 1, got r = 1000"),
+        (lambda: greedy_sequence(R, R, RHO, -(10**5000)), DomainError, "steps must be non-negative, got -1000"),
+        (lambda: oracle_best_sequence(R, R, RHO, 10**5000), ResourceError, "steps = 1000"),
+        (lambda: enumerate_legs(F, 13_000, budget=10**5000), ResourceError, "legs exceeds the budget 1000"),
+        (
+            lambda: verify_embedding(R, RHO, depth=-(10**5000), samples=5, seed=1),
+            DomainError,
+            "depth -1000",
+        ),
+        (
+            lambda: verify_embedding(R, RHO, depth=3, samples=-(10**5000), seed=1),
+            DomainError,
+            "samples must be a positive integer, got -1000",
+        ),
+        (
+            lambda: density_witness(PointPrefix((R, R)), 1 / HUGE, R, RHO),
+            DomainError,
+            "a prefix of length 2 cannot certify epsilon = 1/1000",
+        ),
+        (lambda: RenderConfig(angle_map="x" * 10**5), DomainError, "unknown angle map: 'xxx"),
+        (lambda: angle_fractions(enumerate_legs(F, 1), "x" * 10**5), DomainError, "unknown angle map: 'xxx"),
+    ],
+    ids=[
+        "relation-slope",
+        "point-coordinate",
+        "word-symbol",
+        "leg-parameter",
+        "factor",
+        "check-nc",
+        "greedy-steps",
+        "oracle-steps",
+        "enumeration-budget",
+        "embedding-depth",
+        "embedding-samples",
+        "density-epsilon",
+        "render-config-angle-map",
+        "angle-fractions-angle-map",
+    ],
+)
+def test_library_refusals_echo_bounded_values(refuse, error, names):
+    with pytest.raises(error) as info:
+        refuse()
+    message = str(info.value)
+    assert len(message) < 1024 and names in message

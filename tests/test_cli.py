@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import lelekfan
+from lelekfan import cli, errors
 from lelekfan import (
     cantor_relation,
     classify_endpoint,
@@ -554,3 +556,133 @@ def test_greedy_prints_partials_past_the_digit_limit(capsys):
     assert [parse_scalar(p) for p in data["partials"]] == list(trace.partials)
     assert parse_scalar(data["running_max"]) == trace.running_max
     assert max(len(p) for p in data["partials"]) > 2 * 4300
+
+
+def test_one_exception_type_per_exit_code(monkeypatch, capsys):
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {"FanError", "DomainError", "FormatError", "NcViolation", "ResourceError"}
+    exit_codes = {
+        errors.DomainError: 3,
+        errors.FormatError: 3,
+        errors.NcViolation: 2,
+        errors.ResourceError: 4,
+    }
+    assert set(errors.FanError.__subclasses__()) == set(exit_codes)
+    for error, code in exit_codes.items():
+
+        def refuse(args, error=error):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "cmd_check_nc", refuse)
+        assert main(["check-nc"]) == code
+        assert capsys.readouterr().err.endswith("refused\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--depth", "100000", "--out", "OUT"],
+        ["hausdorff", "--depth", "5000"],
+        ["check-nc", "--r", "1/1" + "0" * 4999 + "1", "--rho", "3"],
+    ],
+    ids=["build-depth-100000", "hausdorff-depth-5000", "check-nc-cofactor-5001-digits"],
+)
+def test_budget_refusals_are_quick_and_bounded(capsys, tmp_path, argv):
+    # Neither |slopes|^depth nor a cofactor past the prime bound is printed
+    # whole: each would be past Python's 4300-digit int-to-str limit.
+    out = tmp_path / "legs.json"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("fan: budget exceeded: ")
+    assert not out.exists()
+
+
+def test_build_budget_keeps_its_message(capsys, tmp_path):
+    # 2^12 legs of G build at the default budget; 3^13 legs of F are
+    # refused with the total printed, as before.
+    code, data = run(capsys, "build", "--relation", "G", "--depth", "12", "--out", str(tmp_path / "g.json"))
+    assert code == 0 and data["legs"] == 2**12
+    assert main(["build", "--depth", "13", "--out", str(tmp_path / "f.json")]) == 4
+    assert capsys.readouterr().err == (
+        "fan: budget exceeded: 3^13 = 1594323 legs exceeds the budget 531441; "
+        "use sampling instead (sample_legs / --sample)\n"
+    )
+
+
+BIG = "7" * 5000  # a literal past Python's 4300-digit int/str conversion limit
+BIG_INT = "7" * 4000  # argparse's int() still reads it
+POWER = "1" + "0" * 4999  # 10^4999 = 2^4999 * 5^4999, factored within the prime bound
+
+
+@pytest.mark.parametrize(
+    "argv, code, names",
+    [
+        (["greedy", "--x", BIG], 3, "start must lie in (0, 1), got 777"),
+        (["check-nc", "--r", BIG, "--rho", "3"], 3, "never-connect requires 0 < r < 1, got r = 777"),
+        (["check-nc", "--r", "1/2", "--rho", "1/" + BIG], 3, "requires rho > 1, got rho = 1/777"),
+        (
+            ["density", "--epsilon", "1/" + BIG, "--depth", "3", "--samples", "1"],
+            3,
+            "a prefix of length 4 cannot certify epsilon = 1/777",
+        ),
+        (
+            ["greedy", "--x", "1/2", "--r", "1/" + POWER, "--rho", POWER],
+            2,
+            "never-connect failure: slopes are multiplicatively dependent: (1/1000",
+        ),
+        (
+            ["build", "--relation", "G", "--r", "-" + BIG, "--out", "OUT"],
+            3,
+            "slopes must be positive, got -777",
+        ),
+        (["build", "--sample", "-" + BIG_INT, "--out", "OUT"], 3, "--sample must be a positive integer, got -777"),
+        (["embed-check", "--samples", "-" + BIG_INT], 3, "samples must be a positive integer, got -777"),
+        (["greedy", "--x", "1/2", "--steps", BIG_INT], 4, "--steps 777"),
+        (["build", "--depth", BIG_INT, "--out", "OUT"], 4, "3^777"),
+        (
+            ["build", "--depth", "13000", "--budget", BIG_INT, "--out", "OUT"],
+            4,
+            "legs exceeds the budget 777",
+        ),
+        (["endpoints", "--in", "DEEP"], 3, "expected depth 777"),
+        (["endpoints", "--in", "WIDE"], 3, "not valid JSON"),
+    ],
+    ids=[
+        "greedy-start",
+        "check-nc-r",
+        "check-nc-rho",
+        "density-epsilon",
+        "dependent-pair",
+        "build-negative-slope",
+        "build-sample-count",
+        "embed-check-samples",
+        "greedy-steps",
+        "build-depth",
+        "build-budget",
+        "leg-file-depth",
+        "leg-file-depth-past-the-digit-limit",
+    ],
+)
+def test_refusals_echo_bounded_values(capsys, tmp_path, argv, code, names):
+    out = tmp_path / "out.json"
+    if argv[-1] in ("DEEP", "WIDE"):
+        # A leg file whose depth field is a 4000- or 5000-digit integer.
+        depth = BIG_INT if argv[-1] == "DEEP" else BIG
+        legs = tmp_path / "legs.json"
+        legs.write_text(
+            f'{{"relation": {{"slopes": ["1/2", "1", "3"]}}, "depth": {depth}, '
+            '"legs": [{"word": ["3"], "t_max": "1/3"}]}'
+        )
+        argv = argv[:-1] + [str(legs)]
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("fan: ") and names in captured.err
+    assert not out.exists()

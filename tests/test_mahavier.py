@@ -15,10 +15,8 @@ from lelekfan import (
     FanApprox,
     FormatError,
     PointPrefix,
-    RangeError,
     RelationSpec,
     ResourceError,
-    ShapeError,
     Word,
     build_leg,
     cantor_relation,
@@ -134,9 +132,13 @@ def test_leg_point_examples():
     )
     diag = build_leg(Word((1, 1, 1)))
     assert leg_point(diag, 1).coords == (1, 1, 1, 1)
-    with pytest.raises(RangeError):
+    with pytest.raises(
+        DomainError, match=r"parameter 1/4 outside \[0, 2/9\]; the point would leave the unit cube"
+    ):
         leg_point(leg, Fraction(1, 4))
-    with pytest.raises(RangeError):
+    with pytest.raises(
+        DomainError, match=r"parameter -1/9 outside \[0, 2/9\]; the point would leave the unit cube"
+    ):
         leg_point(leg, Fraction(-1, 9))
 
 
@@ -232,6 +234,23 @@ def test_enumerate_counts_and_budget():
     assert len(enumerate_legs(F, 4).legs) == 81
     with pytest.raises(ResourceError, match="sampl"):
         enumerate_legs(F, 13)
+
+
+def test_enumerate_refuses_a_deep_word_without_the_power():
+    # budget 8 has bit length 4: G at depth 4 is refused with 2^4 printed, at
+    # depth 5 and past it without computing the power. One slope has a single
+    # word at every depth.
+    assert len(enumerate_legs(G, 3, budget=8).legs) == 8
+    with pytest.raises(ResourceError, match=r"^2\^4 = 16 legs exceeds the budget 8; "):
+        enumerate_legs(G, 4, budget=8)
+    # 10^5000 is echoed cut, as "2^1000...0... (5001 characters)".
+    refused = r"^2\^[0-9.]+( \(\d+ characters\))? legs exceeds the budget 8; "
+    for depth in (5, 10**9, 10**5000):
+        with pytest.raises(ResourceError, match=refused):
+            enumerate_legs(G, depth, budget=8)
+    assert len(enumerate_legs(RelationSpec((1,)), 100, budget=1).legs) == 1
+    with pytest.raises(ResourceError, match=r"^1\^100 = 1 legs exceeds the budget 0; "):
+        enumerate_legs(RelationSpec((1,)), 100, budget=0)
 
 
 def test_g_fullness():
@@ -373,7 +392,7 @@ def test_truncated_metric_matches_definition():
 
 
 def test_truncated_metric_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="prefix lengths differ: 2 vs 3"):
         truncated_metric(PointPrefix((0, 0)), PointPrefix((0, 0, 0)))
 
 
@@ -416,7 +435,7 @@ def test_degeneracy_flag():
 
 def test_fan_approx_depth_validation():
     leg = build_leg(Word((R,)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="leg of depth 1 in a depth-2 approximation"):
         FanApprox(F, 2, (leg,))
     with pytest.raises(DomainError, match="depth must be non-negative"):
         FanApprox(F, -1, ())

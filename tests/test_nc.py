@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lelekfan import NcVerdict, NcViolation, PreconditionError, check_nc, require_nc
+from lelekfan import DomainError, NcVerdict, NcViolation, check_nc, require_nc
 from oracles import nc_brute_witness, nc_merge_witness
 
 
@@ -75,13 +75,13 @@ def test_constructed_dependent_pairs_yield_minimal_witnesses():
 
 
 def test_preconditions_name_the_violated_clause():
-    with pytest.raises(PreconditionError, match="0 < r < 1"):
+    with pytest.raises(DomainError, match="0 < r < 1"):
         check_nc(Fraction(3, 2), Fraction(3))
-    with pytest.raises(PreconditionError, match="rho > 1"):
+    with pytest.raises(DomainError, match="rho > 1"):
         check_nc(Fraction(1, 2), Fraction(2, 3))
-    with pytest.raises(PreconditionError, match="0 < r < 1"):
+    with pytest.raises(DomainError, match="0 < r < 1"):
         check_nc(Fraction(0), Fraction(3))
-    with pytest.raises(PreconditionError, match="0 < r < 1"):
+    with pytest.raises(DomainError, match="0 < r < 1"):
         check_nc(Fraction(1), Fraction(3))
 
 
@@ -97,10 +97,10 @@ def test_check_nc_non_fraction_input_keeps_witness_and_errors():
     assert check_nc("1/4", 2.0).witness == (1, -2)
     assert check_nc(0.25, "8").witness == (3, -2)
     for r in (0, 1, -1, "0", 1.0, "-1/2", "3/2"):
-        with pytest.raises(PreconditionError, match="0 < r < 1"):
+        with pytest.raises(DomainError, match="0 < r < 1"):
             check_nc(r, 3)
     for rho in (1, "1", 1.0, -3, "-3", "2/3", 0):
-        with pytest.raises(PreconditionError, match="rho > 1"):
+        with pytest.raises(DomainError, match="rho > 1"):
             check_nc("1/2", rho)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,30 @@ def test_scalars_past_the_int_str_digit_limit():
     for x in (q, -q, Fraction(q.numerator), 1 / q):
         assert parse_scalar(format_scalar(x)) == x
     assert parse_scalar("1/1" + "0" * 5_000) == Fraction(1, 10**5_000)
+
+
+def test_parse_scalar_long_literals_agree_with_decimal():
+    # Literals over 4000 digits are parsed in halves; every split must give
+    # the integer of one int(Decimal(...)) call, zeros at a split included.
+    rng = random.Random(11)
+    for n in (3999, 4000, 4001, 8001):
+        for digits in (
+            "".join(rng.choice("0123456789") for _ in range(n)),
+            "1" + "0" * (n - 1),
+            "0" * (n - 1) + "7",
+        ):
+            value = int(Decimal(digits))
+            for sign, signed in (("", value), ("+", value), ("-", -value)):
+                assert parse_scalar(sign + digits) == signed
+                assert parse_scalar(f"{sign}1/{digits}") == Fraction(1, signed)
+
+
+def test_parse_scalar_long_literal_time():
+    # int(Decimal(...)) alone is quadratic: several seconds at this length.
+    start = time.perf_counter()
+    q = parse_scalar("7" * 400_000)
+    assert time.perf_counter() - start < 2
+    assert q == 7 * (10**400_000 - 1) // 9
 
 
 def test_format_scalar_matches_str_under_the_limit():

@@ -17,7 +17,6 @@ from lelekfan import (
     PointPrefix,
     RelationSpec,
     RenderConfig,
-    ShapeError,
     Word,
     build_leg,
     check_nc,
@@ -137,7 +136,7 @@ LEG = build_leg(Word((R,)))
         (lambda: FanApprox(fan_relation(R, RHO), -1, ()), DomainError, "depth must be non-negative"),
         (
             lambda: FanApprox(fan_relation(R, RHO), 2, (LEG,)),
-            ShapeError,
+            DomainError,
             "leg of depth 1 in a depth-2 approximation",
         ),
         (lambda: NcVerdict(True, (1, 1)), ValueError, "witness must be present exactly"),
