@@ -37,7 +37,7 @@ from .mahavier import (
     DEFAULT_ENUM_BUDGET,
 )
 from .nc import require_nc
-from .scalars import _digits, _echo, format_scalar
+from .scalars import _echo, format_scalar
 
 DEFAULT_GREEDY_BUDGET = 10**4
 DEFAULT_ORACLE_BUDGET = 20
@@ -85,9 +85,9 @@ def _climb_start(x, steps: int) -> Fraction:
     """The start x as a Fraction: a DomainError unless 0 < x < 1, then unless steps >= 0."""
     x = Fraction(x)
     if not 0 < x < 1:
-        raise DomainError(f"start must lie in (0, 1), got {_echo(format_scalar(x))}")
+        raise DomainError(f"start must lie in (0, 1), got {_echo(x)}")
     if steps < 0:
-        raise DomainError(f"steps must be non-negative, got {_echo(_digits(steps))}")
+        raise DomainError(f"steps must be non-negative, got {_echo(steps)}")
     return x
 
 
@@ -158,7 +158,7 @@ def oracle_best_sequence(x, r, rho, steps: int) -> GreedyTrace:
     r, rho = Fraction(r), Fraction(rho)
     if steps > DEFAULT_ORACLE_BUDGET:
         raise ResourceError(
-            f"steps = {_echo(_digits(steps))} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}"
+            f"steps = {_echo(steps)} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}"
         )
     slopes = ((rho, rho.numerator, rho.denominator), (r, r.numerator, r.denominator))
     path: list[Fraction] = []
@@ -284,7 +284,7 @@ def density_witness(
     if k0 > len(x.coords):
         raise DomainError(
             f"a prefix of length {len(x.coords)} cannot certify epsilon = "
-            f"{_echo(format_scalar(epsilon))}: its tail bound alone is "
+            f"{_echo(epsilon)}: its tail bound alone is "
             f"2^-{len(x.coords)}"
         )
     start = x.coords[k0 - 1]
@@ -305,8 +305,8 @@ def density_witness(
     bound = value + tail
     if bound > epsilon:
         raise DomainError(
-            f"witness bound {_echo(format_scalar(bound))} exceeds epsilon = "
-            f"{_echo(format_scalar(epsilon))}; the input prefix is too short"
+            f"witness bound {_echo(bound)} exceeds epsilon = "
+            f"{_echo(epsilon)}; the input prefix is too short"
         )
     # The climb starts at prefix[-1], and its running max is that start or
     # the partial object where the max was first reached; e's first maximal
@@ -668,13 +668,13 @@ def verify_embedding(
     on no points and the schedule is never empty.
     """
     if samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {_echo(_digits(samples))}")
+        raise DomainError(f"samples must be a positive integer, got {_echo(samples)}")
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
     schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth + 1]
     if not schedule:
         raise DomainError(
-            f"depth {_echo(_digits(depth))} schedules no density check; "
+            f"depth {_echo(depth)} schedules no density check; "
             "depth 3 is the smallest depth that schedules epsilon = 1/16"
         )
     full = fan_relation(r, rho)

@@ -15,7 +15,7 @@ import sys
 from . import analysis, mahavier, render
 from .errors import DomainError, FanError, NcViolation, ResourceError
 from .nc import check_nc, require_nc
-from .scalars import _digits, _echo, format_scalar, parse_scalar
+from .scalars import _echo, format_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -30,7 +30,7 @@ RELATIONS = ("F", "G", "Lrr")
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {_echo(message)}\n")
 
 
 def _check_args(args) -> None:
@@ -64,7 +64,7 @@ def _relation(args, kind: str) -> mahavier.RelationSpec:
 
 def _require_count(name: str, count: int) -> None:
     if count < 1:
-        raise DomainError(f"{name} must be a positive integer, got {_echo(_digits(count))}")
+        raise DomainError(f"{name} must be a positive integer, got {_echo(count)}")
 
 
 def _build_fan(args, kind: str) -> mahavier.FanApprox:
@@ -100,7 +100,7 @@ def cmd_greedy(args) -> int:
     _require_count("--steps", args.steps)
     if args.steps > analysis.DEFAULT_GREEDY_BUDGET:
         raise ResourceError(
-            f"--steps {_echo(_digits(args.steps))} exceeds the greedy budget "
+            f"--steps {_echo(args.steps)} exceeds the greedy budget "
             f"{analysis.DEFAULT_GREEDY_BUDGET}"
         )
     trace = analysis.greedy_sequence(

@@ -28,7 +28,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import DomainError, FormatError, ResourceError
-from .scalars import _digits, _echo, format_scalar, parse_scalar
+from .scalars import _echo, format_scalar, parse_scalar
 
 DEFAULT_ENUM_BUDGET = 3**12
 
@@ -52,7 +52,7 @@ class RelationSpec(Value, namedtuple("RelationSpec", "slopes")):
             raise DomainError("a relation needs at least one slope")
         for s in slopes:
             if s <= 0:
-                raise DomainError(f"slopes must be positive, got {_echo(format_scalar(s))}")
+                raise DomainError(f"slopes must be positive, got {_echo(s)}")
         if len(set(slopes)) != len(slopes):
             raise DomainError("slopes must be pairwise distinct")
         return tuple.__new__(cls, (slopes,))
@@ -136,7 +136,7 @@ class PointPrefix(Value, namedtuple("PointPrefix", "coords")):
         # Denominators are positive, so 0 <= c <= 1 is 0 <= p <= q for c = p/q.
         for c in coords:
             if not 0 <= c.numerator <= c.denominator:
-                raise DomainError(f"coordinate {_echo(format_scalar(c))} outside [0, 1]")
+                raise DomainError(f"coordinate {_echo(c)} outside [0, 1]")
         return tuple.__new__(cls, (coords,))
 
     def __len__(self) -> int:
@@ -232,7 +232,7 @@ def build_leg(word: Word) -> Leg:
     """Compute a word's prefix products and parameter cap exactly."""
     for s in word.symbols:
         if s.numerator <= 0:
-            raise DomainError(f"word symbols must be positive, got {_echo(format_scalar(s))}")
+            raise DomainError(f"word symbols must be positive, got {_echo(s)}")
     return next(_grow_legs((word.symbols,)))
 
 
@@ -241,8 +241,8 @@ def leg_point(leg: Leg, t) -> PointPrefix:
     t = Fraction(t)
     if not 0 <= t <= leg.t_max:
         raise DomainError(
-            f"parameter {_echo(format_scalar(t))} outside "
-            f"[0, {_echo(format_scalar(leg.t_max))}]; "
+            f"parameter {_echo(t)} outside "
+            f"[0, {_echo(leg.t_max)}]; "
             "the point would leave the unit cube"
         )
     return PointPrefix((t,) + tuple(p * t for p in leg.prefix_products))
@@ -269,10 +269,10 @@ def enumerate_legs(
     # without computing the power.
     too_deep = count > 1 and depth > budget.bit_length()
     if too_deep or count**depth > budget:
-        total = "" if too_deep else f" = {_echo(_digits(count**depth))}"
+        total = "" if too_deep else f" = {_echo(count**depth)}"
         raise ResourceError(
-            f"{count}^{_echo(_digits(depth))}{total} legs exceeds the budget "
-            f"{_echo(_digits(budget))}; use sampling instead (sample_legs / --sample)"
+            f"{count}^{_echo(depth)}{total} legs exceeds the budget "
+            f"{_echo(budget)}; use sampling instead (sample_legs / --sample)"
         )
     words = itertools.product(relation.slopes, repeat=depth)
     return FanApprox(relation, depth, tuple(_grow_legs(words)))
@@ -428,12 +428,12 @@ def fan_from_dict(data: dict) -> FanApprox:
             raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
         for key in ("word", "t_max"):
             if key not in raw:
-                raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} has no {key!r}")
+                raise FormatError(f"malformed leg file: leg {_echo(raw)} has no {key!r}")
         word_texts = _list_field(raw["word"], "word")
         if len(word_texts) != depth:
             raise FormatError(
-                f"word {_echo(str(word_texts))} has length {len(word_texts)}, "
-                f"expected depth {_echo(_digits(depth))}"
+                f"word {_echo(word_texts)} has length {len(word_texts)}, "
+                f"expected depth {_echo(depth)}"
             )
         symbols = []
         for text in word_texts:
@@ -443,7 +443,7 @@ def fan_from_dict(data: dict) -> FanApprox:
                 symbol = own_slope.get(value)
                 if symbol is None:
                     raise FormatError(
-                        f"symbol {_echo(format_scalar(value))} is not a slope of the relation"
+                        f"symbol {_echo(value)} is not a slope of the relation"
                     )
                 symbol_of[text] = symbol
             symbols.append(symbol)
@@ -461,7 +461,7 @@ def fan_from_dict(data: dict) -> FanApprox:
         if stored != leg.t_max:
             raise FormatError(
                 f"stored t_max {_echo(text)} disagrees with recomputed "
-                f"{_echo(format_scalar(leg.t_max))} for word {_echo(str(raw['word']))}"
+                f"{_echo(leg.t_max)} for word {_echo(raw['word'])}"
             )
         legs.append(leg)
     return FanApprox(relation, depth, tuple(legs))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .errors import DomainError, NcViolation
-from .scalars import _echo, factor, format_scalar
+from .scalars import _echo, factor
 
 
 class NcVerdict(Value, namedtuple("NcVerdict", "is_nc witness")):
@@ -59,11 +59,11 @@ def check_nc(r: Fraction, rho: Fraction) -> NcVerdict:
     # Denominators are positive, so 0 < r < 1 is 0 < p < q for r = p/q.
     if not 0 < r.numerator < r.denominator:
         raise DomainError(
-            f"never-connect requires 0 < r < 1, got r = {_echo(format_scalar(r))}"
+            f"never-connect requires 0 < r < 1, got r = {_echo(r)}"
         )
     if not rho.numerator > rho.denominator:
         raise DomainError(
-            f"never-connect requires rho > 1, got rho = {_echo(format_scalar(rho))}"
+            f"never-connect requires rho > 1, got rho = {_echo(rho)}"
         )
     exp_r = factor(r)
     exp_rho = factor(rho)
@@ -90,7 +90,7 @@ def require_nc(r: Fraction, rho: Fraction) -> None:
         k, l = verdict.witness
         raise NcViolation(
             f"slopes are multiplicatively dependent: "
-            f"({_echo(format_scalar(Fraction(r)))})^{k} == "
-            f"({_echo(format_scalar(Fraction(rho)))})^{l}",
+            f"({_echo(Fraction(r))})^{k} == "
+            f"({_echo(Fraction(rho))})^{l}",
             witness=verdict.witness,
         )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from ._value import Value
 from .errors import DomainError
 from .mahavier import FanApprox, Leg, _symbol_values
-from .scalars import _echo, format_scalar
+from .scalars import _echo
 
 ANGLE_CANTOR = "cantor"
 ANGLE_UNIFORM = "uniform"
@@ -63,7 +63,7 @@ def _digit_map(n_slopes: int) -> tuple[tuple[int, ...], int]:
 
 
 def _not_a_slope(symbol: Fraction):
-    raise DomainError(f"symbol {_echo(format_scalar(symbol))} is not a slope of the relation")
+    raise DomainError(f"symbol {_echo(symbol)} is not a slope of the relation")
 
 
 def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]]:

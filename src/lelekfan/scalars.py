@@ -19,7 +19,7 @@ import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log10
 
 from .errors import DomainError, FormatError, ResourceError
 
@@ -30,12 +30,43 @@ _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 # The most characters of an input value that one error message echoes.
 _ECHO_LIMIT = 200
 
+_LOG10_2 = log10(2)
 
-def _echo(text: str) -> str:
-    """`text` for an error message, cut to _ECHO_LIMIT characters and marked when cut."""
-    if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
+def _echo(value) -> str:
+    """How an error message shows `value`: cut to _ECHO_LIMIT characters and marked when cut.
+
+    An int or Fraction reads as `format_scalar` writes it, a str as itself
+    and anything else as its repr. A number's text is never built whole:
+    only the leading digits the message keeps are converted, so the cost
+    does not grow with the square of the value's size.
+    """
+    if isinstance(value, (int, Fraction)):
+        head, size = _leading_text(value.numerator)
+        if value.denominator != 1:
+            # The numerator's head fills the limit unless it is the whole numerator.
+            tail, tail_size = _leading_text(value.denominator)
+            head, size = f"{head}/{tail}", size + 1 + tail_size
+    else:
+        head = value if isinstance(value, str) else repr(value)
+        size = len(head)
+    if size <= _ECHO_LIMIT:
+        return head
+    return f"{head[:_ECHO_LIMIT]}... ({size} characters)"
+
+
+def _leading_text(n: int) -> tuple[str, int]:
+    """The first _ECHO_LIMIT characters of n's decimal text, and that text's whole length.
+
+    |n| has floor(b * log10 2) or one more digits for b = n.bit_length(),
+    and the float product may round across an integer, so the estimate
+    int(b * log10 2) is at most one above the true count. Cutting one digit
+    fewer than the estimate allows thus leaves a head of at least
+    _ECHO_LIMIT digits, and the count is read off that head exactly.
+    """
+    cut = max(0, int(n.bit_length() * _LOG10_2) - _ECHO_LIMIT - 1)
+    head = ("-" if n < 0 else "") + _digits(abs(n) // 10**cut)
+    return head[:_ECHO_LIMIT], len(head) + cut
 
 
 def _digits(n: int) -> str:
@@ -158,7 +189,7 @@ def _trial_division(n: int) -> dict[int, int]:
         # trial division cannot reach.
         if n > DEFAULT_PRIME_BOUND:
             raise ResourceError(
-                f"factor {_echo(_digits(n))} exceeds the prime bound {DEFAULT_PRIME_BOUND}"
+                f"factor {_echo(n)} exceeds the prime bound {DEFAULT_PRIME_BOUND}"
             )
         exponents[n] = 1
     return exponents
@@ -179,7 +210,7 @@ def factor(q: Fraction) -> dict[int, int]:
         q = Fraction(q)
     numerator, denominator = q.numerator, q.denominator
     if numerator <= 0:
-        raise DomainError(f"factor requires a positive rational, got {_echo(format_scalar(q))}")
+        raise DomainError(f"factor requires a positive rational, got {_echo(q)}")
     exponents = _trial_division(numerator)
     for p, e in _trial_division(denominator).items():
         exponents[p] = -e

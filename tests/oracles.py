@@ -5,6 +5,8 @@ re-derived by a plain trial-division loop, and the never-connect brute
 force compares exact integer powers directly, with no exponent-vector
 reasoning anywhere. Legs are rebuilt word by word with
 `itertools.accumulate`, sharing nothing with the prefix-sharing walk.
+An error message's echo is composed the plain way: the value's whole text
+by `format_scalar`, then the cut.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lelekfan import Leg, Word
+from lelekfan import Leg, Word, format_scalar
 
 
 def trial_factor_int(n: int) -> dict[int, int]:
@@ -218,6 +220,22 @@ def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
                         best = d
             worst = max(worst, best)
     return worst
+
+
+def echo_reference(value) -> str:
+    """An error message's echo of value: its whole text, cut to 200 characters.
+
+    An int or Fraction is written by `format_scalar`, a str is kept and
+    anything else is its repr. Writing a number whole is quadratic in its
+    digit count, so this suits values of a few thousand digits at most.
+    """
+    if isinstance(value, (int, Fraction)):
+        text = format_scalar(value)
+    else:
+        text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 200:
+        return text
+    return f"{text[:200]}... ({len(text)} characters)"
 
 
 def leg_reference(symbols) -> Leg:

@@ -1212,3 +1212,14 @@ def test_library_refusals_echo_bounded_values(refuse, error, names):
         refuse()
     message = str(info.value)
     assert len(message) < 1024 and names in message
+
+
+def test_greedy_refuses_a_huge_start_quickly():
+    # Writing this 4*10^5-digit start whole took about 3 s; the refusal
+    # converts only the digits its message keeps.
+    x = Fraction(10**399_999 + 7)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^start must lie in \(0, 1\), got 1000") as info:
+        greedy_sequence(x, R, RHO, 4)
+    assert time.perf_counter() - start < 1
+    assert str(info.value).endswith("... (400000 characters)")

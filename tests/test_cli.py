@@ -74,6 +74,21 @@ def test_unknown_command_exits_64():
     assert info.value.code == 64
 
 
+def test_usage_error_echo_is_bounded(capsys):
+    # --steps is past int()'s 4300-digit limit, so argparse refuses it and
+    # its message quotes the whole literal; the echo cuts it.
+    with pytest.raises(SystemExit) as info:
+        main(["greedy", "--x", "1/2", "--steps", "7" * 5000])
+    assert info.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fan greedy ")
+    assert len(err.encode()) < 1024
+    assert "fan greedy: error: argument --steps: invalid int value: '777" in err
+    with pytest.raises(SystemExit):
+        main(["check-nc", "--nope"])
+    assert capsys.readouterr().err.endswith("\nfan: error: unrecognized arguments: --nope\n")
+
+
 def test_build_writes_loadable_file(capsys, tmp_path):
     out = tmp_path / "legs.json"
     code, data = run(capsys, "build", "--r", "1/2", "--rho", "3", "--relation", "F", "--depth", "4", "--out", str(out))
@@ -612,6 +627,28 @@ def test_build_budget_keeps_its_message(capsys, tmp_path):
         "fan: budget exceeded: 3^13 = 1594323 legs exceeds the budget 531441; "
         "use sampling instead (sample_legs / --sample)\n"
     )
+
+
+def test_leg_file_with_a_huge_negative_slope_is_refused_quickly(capsys, tmp_path):
+    # Writing this 4*10^5-digit slope whole took about 3 s; the refusal
+    # converts only the digits its message keeps.
+    path = tmp_path / "legs.json"
+    path.write_text(
+        json.dumps(
+            {
+                "relation": {"slopes": ["1/2", "1", "-" + "7" * 400_000]},
+                "depth": 1,
+                "legs": [{"word": ["1"], "t_max": "1"}],
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert main(["endpoints", "--in", str(path)]) == 3
+    assert time.perf_counter() - start < 1.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("fan: slopes must be positive, got -777")
 
 
 BIG = "7" * 5000  # a literal past Python's 4300-digit int/str conversion limit

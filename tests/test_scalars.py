@@ -21,7 +21,7 @@ from lelekfan import (
     parse_scalar,
 )
 from lelekfan import scalars
-from oracles import recompose, trial_factor_int, trial_factor_rational
+from oracles import echo_reference, recompose, trial_factor_int, trial_factor_rational
 
 EMPTY_TABLE = (b"\x02", 2)  # the prime table before its first growth
 
@@ -83,6 +83,61 @@ def test_format_scalar_matches_str_under_the_limit():
         expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
         assert format_scalar(q) == expected
         assert parse_scalar(expected) == q
+
+
+def _echo_cases():
+    rng = random.Random(21)
+
+    def of_length(n: int) -> int:
+        return rng.randrange(10 ** (n - 1), 10**n)
+
+    # Whole texts from 185 to 215 characters, as ints and as Fractions of
+    # denominator 1, positive and negative.
+    for n in range(185, 216):
+        for _ in range(20):
+            v = of_length(n)
+            yield from (v, -v, Fraction(v), Fraction(-v))
+    # Many-digit denominators, the limit falling inside the numerator, at
+    # the slash and inside the denominator.
+    for _ in range(2000):
+        a = rng.randint(1, 230)
+        b = rng.randint(max(1, 185 - a), 230)
+        yield Fraction(rng.choice((1, -1)) * of_length(a), of_length(b))
+    # Digit counts change at powers of ten and the bit-length estimate at
+    # powers of two.
+    for k in range(261):
+        for v in (10**k, 10**k - 1, 10**k + 1):
+            yield from (v, -v, Fraction(1, v or 1), Fraction(-7, v or 1))
+    for b in range(900):
+        for v in (2**b - 1, 2**b, 2**b + 1):
+            yield from (v, -v, Fraction(3, v or 1))
+    for n in (1000, 4000):
+        yield from (of_length(n), -of_length(n), Fraction(of_length(n), of_length(n)))
+
+
+def test_echo_matches_the_whole_text_reference():
+    for value in _echo_cases():
+        assert scalars._echo(value) == echo_reference(value), value
+
+
+def test_echo_shows_text_as_is_and_other_values_by_repr():
+    assert scalars._echo("1/2") == "1/2"
+    assert scalars._echo(repr("1/2")) == "'1/2'"
+    assert scalars._echo(["3", "1/2"]) == "['3', '1/2']"
+    assert scalars._echo(0.5) == "0.5"
+    assert scalars._echo(True) == "1"
+    assert scalars._echo("x" * 200) == "x" * 200
+    assert scalars._echo("x" * 201) == "x" * 200 + "... (201 characters)"
+    assert scalars._echo(list(range(100))) == repr(list(range(100)))[:200] + "... (390 characters)"
+
+
+def test_echo_of_a_million_digits_time():
+    # Writing all 10^6 digits takes about 18 s; the echo converts about 200.
+    n = 10**1_000_000 - 1
+    start = time.perf_counter()
+    text = scalars._echo(-n)
+    assert time.perf_counter() - start < 1
+    assert text == f"-{'9' * 199}... (1000001 characters)"
 
 
 def test_factor_examples():
