@@ -613,7 +613,7 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     on every fan the tests compare.
     """
     if a.depth != b.depth:
-        raise DomainError(f"depth mismatch: {a.depth} vs {b.depth}")
+        raise DomainError(f"depth mismatch: {_echo(a.depth)} vs {_echo(b.depth)}")
     # sample_resolution checks grid and a's legs first.
     padding = 0.5 * sample_resolution(a, grid)
     _require_legs(b)

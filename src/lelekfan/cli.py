@@ -45,12 +45,16 @@ def _check_args(args) -> None:
 
 
 def _emit(data: dict, path: str | None = None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+    _write((json.dumps(data, indent=2), "\n"), path)
+
+
+def _write(pieces, path: str | None) -> None:
+    """Write the text pieces, in order, to the report file at `path` if given, then to stdout."""
     # The report file first: when it cannot be written, stdout stays empty.
     if path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    sys.stdout.write(text)
+            handle.writelines(pieces)
+    sys.stdout.writelines(pieces)
 
 
 def _relation(args, kind: str) -> mahavier.RelationSpec:
@@ -132,15 +136,22 @@ def cmd_endpoints(args) -> int:
         fan = mahavier.load_fan(args.infile)
     else:
         fan = _build_fan(args, args.relation)
-    legs_report = []
     degenerating = 0
-    format_word = mahavier.word_formatter(fan.relation)
+    # The report's fields after each leg's t_max, laid out as
+    # json.dumps(..., indent=2) lays out a leg object inside "legs".
+    kind = f',\n      "kind": {json.dumps(analysis.EXACT)},\n      "peak_index": '
+    flags = {
+        flag: f',\n      "peak_value": "1",\n      "degenerating": {json.dumps(flag)}'
+        for flag in (False, True)
+    }
+
     # Every tip is an exact end-point, so it is not built or classified:
     # `_grow_legs` sets t_max = 1/max(1, P_1, ..., P_n), and `fan_from_dict`
     # rejects a stored t_max that differs from it. The tip (t_max, P_1*t_max,
     # ..., P_n*t_max) first reaches 1 at index 0 when t_max = 1, else at the
     # index k of the first P_k = 1/t_max.
-    for leg in fan.legs:
+    def fields(leg) -> str:
+        nonlocal degenerating
         t_max = leg.t_max
         peak_index = 0
         if t_max != 1:
@@ -150,17 +161,11 @@ def cmd_endpoints(args) -> int:
                     break
         flagged = mahavier.is_degenerating(leg, threshold)
         degenerating += flagged
-        legs_report.append(
-            {
-                "word": format_word(leg.word),
-                "t_max": format_scalar(t_max),
-                "kind": analysis.EXACT,
-                "peak_index": peak_index,
-                "peak_value": "1",
-                "degenerating": flagged,
-            }
-        )
-    _emit(
+        return f"{kind}{peak_index}{flags[flagged]}"
+
+    # "degenerating" precedes "legs", so the legs' text is built first.
+    legs = "".join(mahavier._legs_json(fan, fields))
+    head = mahavier._json_head(
         {
             "depth": fan.depth,
             "delta": format_scalar(delta),
@@ -170,10 +175,9 @@ def cmd_endpoints(args) -> int:
             analysis.APPROXIMATE: 0,
             analysis.NOT_CERTIFIED: 0,
             "degenerating": degenerating,
-            "legs": legs_report,
-        },
-        args.report,
+        }
     )
+    _write((head, legs, "\n}\n"), args.report)
     return EXIT_OK
 
 

@@ -157,7 +157,7 @@ class FanApprox(Value, namedtuple("FanApprox", "relation depth legs")):
         for leg in legs:
             if leg.depth != depth:
                 raise DomainError(
-                    f"leg of depth {leg.depth} in a depth-{depth} approximation"
+                    f"leg of depth {_echo(leg.depth)} in a depth-{_echo(depth)} approximation"
                 )
         return tuple.__new__(cls, (relation, depth, legs))
 
@@ -191,24 +191,32 @@ def membership(point: PointPrefix, relation: RelationSpec) -> bool:
     return True
 
 
-def _t_max(peak: Fraction) -> Fraction:
-    # peak = max(1, P_1, ..., P_n)
-    return 1 / peak if peak > 1 else Fraction(1)
-
-
 def _grow_legs(words):
     """One Leg per symbol tuple of `words`, in the order given.
 
     A word reuses the prefix products and running peaks max(1, P_1, ...,
     P_k) of the word before it for the leading symbols the two share,
     compared by identity, so words in lexicographic order over one slope
-    tuple cost about one Fraction multiply each. This is the only place
-    prefix products are multiplied.
+    tuple cost about one product each. This is the only place prefix
+    products are multiplied, and it works on integers: P_k = n/d times the
+    slope sn/sd is (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n,
+    sd) and g2 = gcd(sn, d), already in lowest terms, and one Fraction is
+    built per product. A new peak is found by cross-multiplication, and
+    t_max = 1/peak is built once per distinct peak, on the first leg that
+    ends with it, so legs ending with one peak share their t_max object.
+
+    Every symbol tuple must be a tuple of exact Fractions. Every caller
+    passes one: `itertools.product` over a relation's slopes, `build_leg`
+    (a Word's symbols) and `fan_from_dict` (the relation's own slope
+    objects). So Word and Leg are built with `tuple.__new__`, which skips
+    `Word`'s conversion check.
     """
-    one = Fraction(1)
+    new = tuple.__new__
+    # A running peak as [numerator, denominator, t_max or None until used].
+    unit = [1, 1, Fraction(1)]
     previous = ()
     products: list[Fraction] = []
-    peaks: list[Fraction] = []
+    peaks: list[list] = []
     for symbols in words:
         shared = 0
         for s, p in zip(symbols, previous):
@@ -216,16 +224,26 @@ def _grow_legs(words):
                 break
             shared += 1
         del products[shared:], peaks[shared:]
-        acc = products[-1] if shared else one
-        peak = peaks[-1] if shared else one
+        if shared:
+            last = products[-1]
+            n, d = last.numerator, last.denominator
+            peak = peaks[-1]
+        else:
+            n = d = 1
+            peak = unit
         for s in symbols[shared:]:
-            acc = acc * s
-            if acc > peak:
-                peak = acc
-            products.append(acc)
+            sn, sd = s.numerator, s.denominator
+            g1, g2 = gcd(n, sd), gcd(sn, d)
+            n, d = (n // g1) * (sn // g2), (d // g2) * (sd // g1)
+            products.append(Fraction(n, d))
+            if n * peak[1] > peak[0] * d:
+                peak = [n, d, None]
             peaks.append(peak)
+        t_max = peak[2]
+        if t_max is None:
+            t_max = peak[2] = Fraction(peak[1], peak[0])
         previous = symbols
-        yield Leg(Word(symbols), tuple(products), _t_max(peak))
+        yield new(Leg, (new(Word, (symbols,)), tuple(products), t_max))
 
 
 def build_leg(word: Word) -> Leg:
@@ -372,7 +390,11 @@ def word_formatter(relation: RelationSpec):
 
 
 def fan_to_dict(fan: FanApprox) -> dict:
-    """JSON-ready form of a fan: slopes, depth and per-leg word plus t_max."""
+    """JSON-ready form of a fan: slopes, depth and per-leg word plus t_max.
+
+    `save_fan` writes the text json.dumps(..., indent=2) gives this dict
+    without building the dict.
+    """
     format_word = word_formatter(fan.relation)
     return {
         "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
@@ -467,11 +489,65 @@ def fan_from_dict(data: dict) -> FanApprox:
     return FanApprox(relation, depth, tuple(legs))
 
 
+def _json_item(symbol) -> str:
+    # A word's item line, indented as json.dumps(..., indent=2) indents it
+    # inside "legs".
+    return "\n        " + json.dumps(format_scalar(symbol))
+
+
+def _legs_json(fan: FanApprox, more=None):
+    """The "legs" array of a fan's JSON form, one string per leg.
+
+    Joined, the strings are the text `json.dumps(..., indent=2)` writes for
+    the array as the value of a top-level field: the first opens it with
+    "[", the last closes it ("[]" when there are no legs). Each slope's
+    indented line is formatted once, through `_symbol_values`, and each
+    distinct t_max object once: the fan's leg tuple keeps every t_max
+    alive, so no memoised id is reused. `more(leg)`, when given, returns
+    the text of the leg's further fields, laid out as json.dumps lays them
+    out, which is put after "t_max".
+    """
+    items = _symbol_values(fan.relation, [_json_item(s) for s in fan.relation.slopes], _json_item)
+    t_max_texts: dict[int, str] = {}
+    opening = first = "[\n    {"
+    for leg in fan.legs:
+        t_max = leg.t_max
+        t_text = t_max_texts.get(id(t_max))
+        if t_text is None:
+            t_text = t_max_texts[id(t_max)] = json.dumps(format_scalar(t_max))
+        word = ",".join(items(leg.word.symbols))
+        word = f"[{word}\n      ]" if word else "[]"
+        fields = more(leg) if more else ""
+        yield f'{opening}\n      "word": {word},\n      "t_max": {t_text}{fields}\n    }}'
+        opening = ",\n    {"
+    yield "[]" if opening is first else "\n  ]"
+
+
+def _json_head(fields: dict) -> str:
+    """The text of json.dumps({**fields, "legs": ...}, indent=2) up to the legs array.
+
+    The document goes on with the array's text, a newline and "}".
+    """
+    return json.dumps({**fields, "legs": []}, indent=2)[: -len("[]\n}")]
+
+
 def save_fan(fan: FanApprox, path) -> None:
-    """Write a fan's JSON form, indented by 2, with a final newline."""
-    text = json.dumps(fan_to_dict(fan), indent=2) + "\n"
+    """Write a fan's JSON form, indented by 2, with a final newline.
+
+    The bytes are those of json.dumps(fan_to_dict(fan), indent=2) and a
+    newline, but the legs are written one at a time by `_legs_json`, so
+    neither the dict nor the whole text is built.
+    """
+    head = _json_head(
+        {
+            "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
+            "depth": fan.depth,
+        }
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(head)
+        handle.writelines(_legs_json(fan))
+        handle.write("\n}\n")
 
 
 def load_fan(path) -> FanApprox:

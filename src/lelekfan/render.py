@@ -45,12 +45,12 @@ class RenderConfig(
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise DomainError("width and height must be positive and finite")
         if not 0 < self.sweep < 180:
-            raise DomainError(f"sweep must lie in (0, 180) degrees, got {self.sweep}")
+            raise DomainError(f"sweep must lie in (0, 180) degrees, got {_echo(self.sweep)}")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):
             raise DomainError(f"unknown angle map: {_echo(repr(self.angle_map))}")
         if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
             raise DomainError(
-                f"stroke width must be positive and finite, got {self.stroke_width}"
+                f"stroke width must be positive and finite, got {_echo(self.stroke_width)}"
             )
         return self
 

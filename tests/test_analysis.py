@@ -1189,6 +1189,17 @@ HUGE = Fraction(10**5000 + 7)  # past Python's 4300-digit int-to-str limit
         ),
         (lambda: RenderConfig(angle_map="x" * 10**5), DomainError, "unknown angle map: 'xxx"),
         (lambda: angle_fractions(enumerate_legs(F, 1), "x" * 10**5), DomainError, "unknown angle map: 'xxx"),
+        (lambda: RenderConfig(sweep=10**5000), DomainError, "sweep must lie in (0, 180) degrees, got 1000"),
+        (
+            lambda: FanApprox(F, 10**5000, enumerate_legs(F, 1).legs),
+            DomainError,
+            "leg of depth 1 in a depth-1000",
+        ),
+        (
+            lambda: directed_hausdorff(FanApprox(F, 10**5000, ()), enumerate_legs(F, 1)),
+            DomainError,
+            "depth mismatch: 1000",
+        ),
     ],
     ids=[
         "relation-slope",
@@ -1205,6 +1216,9 @@ HUGE = Fraction(10**5000 + 7)  # past Python's 4300-digit int-to-str limit
         "density-epsilon",
         "render-config-angle-map",
         "angle-fractions-angle-map",
+        "render-config-sweep",
+        "fan-approx-depth",
+        "hausdorff-depth",
     ],
 )
 def test_library_refusals_echo_bounded_values(refuse, error, names):

@@ -310,6 +310,79 @@ def test_sampled_and_loaded_endpoints_match_classified_tips(capsys, tmp_path):
         _check_endpoints_against_classified_tips(capsys, load_fan(path), ["--in", str(path)])
 
 
+def _report_reference(fan, delta, threshold) -> str:
+    """The endpoints report as a dict of classified tips, written by json.dumps(indent=2)."""
+    counts, legs = _classified_tips(fan, delta)
+    report = {
+        "depth": fan.depth,
+        "delta": format_scalar(delta),
+        "degeneracy_threshold": format_scalar(threshold),
+        **counts,
+        "degenerating": sum(leg.t_max < threshold for leg in fan.legs),
+        "legs": [
+            {
+                "word": [format_scalar(s) for s in leg.word.symbols],
+                "t_max": format_scalar(leg.t_max),
+                "kind": kind,
+                "peak_index": peak_index,
+                "peak_value": peak_value,
+                "degenerating": leg.t_max < threshold,
+            }
+            for leg, (kind, peak_index, peak_value) in zip(fan.legs, legs)
+        ],
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+F_HALF_THREE = fan_relation(Fraction(1, 2), Fraction(3))
+
+
+@pytest.mark.parametrize(
+    "argv, fan, threshold, flagged",
+    [
+        (["--depth", "5"], enumerate_legs(F_HALF_THREE, 5), Fraction(1, 2**20), 0),
+        (
+            ["--depth", "40", "--sample", "30", "--seed", "3"],
+            lelekfan.FanApprox(F_HALF_THREE, 40, sample_legs(F_HALF_THREE, 40, 30, 3)),
+            Fraction(1, 2**20),
+            1,
+        ),
+        # Only the all-rho word has t_max = 3^-6 < 1/600.
+        (
+            ["--depth", "6", "--degeneracy-threshold", "1/600"],
+            enumerate_legs(F_HALF_THREE, 6),
+            Fraction(1, 600),
+            1,
+        ),
+        (
+            ["--relation", "G", "--depth", "0"],
+            enumerate_legs(cantor_relation(Fraction(1, 2)), 0),
+            Fraction(1, 2**20),
+            0,
+        ),
+    ],
+    ids=["F5", "sampled", "degenerating", "G0"],
+)
+def test_endpoints_report_is_one_indented_dump(capsys, tmp_path, argv, fan, threshold, flagged):
+    # The report is written leg by leg; its bytes are those of one json.dumps.
+    expected = _report_reference(fan, Fraction(1, 100), threshold)
+    assert expected.count('"degenerating": true') == flagged
+    report = tmp_path / "report.json"
+    assert main(["endpoints", *argv, "--report", str(report)]) == 0
+    assert capsys.readouterr().out == expected
+    assert report.read_bytes() == expected.encode("utf-8")
+
+
+def test_endpoints_report_of_an_empty_leg_file(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    lelekfan.save_fan(lelekfan.FanApprox(F_HALF_THREE, 3, ()), path)
+    assert '"legs": []' in path.read_text(encoding="utf-8")
+    assert main(["endpoints", "--in", str(path)]) == 0
+    expected = _report_reference(load_fan(path), Fraction(1, 100), Fraction(1, 2**20))
+    assert capsys.readouterr().out == expected
+    assert '"legs": []' in expected
+
+
 def test_density_small_run(capsys, tmp_path):
     report_path = tmp_path / "density.json"
     code, data = run(

@@ -14,6 +14,7 @@ from lelekfan import (
     DomainError,
     FanApprox,
     FormatError,
+    Leg,
     PointPrefix,
     RelationSpec,
     ResourceError,
@@ -317,6 +318,32 @@ def test_enumerate_matches_reference(name):
         assert legs == reference
 
 
+# 4/9 = 2^2/3^2 and 27/8 = 3^3/2^3: a product of one by the other cancels
+# primes both ways, so the integer walk divides by both of its gcds.
+GCD = RelationSpec((Fraction(4, 9), Fraction(1), Fraction(27, 8)))
+
+
+def _assert_exact_leg(leg, reference):
+    assert leg == reference
+    assert type(leg) is Leg and type(leg.word) is Word
+    assert all(type(p) is Fraction for p in leg.prefix_products)
+    assert type(leg.t_max) is Fraction
+
+
+def test_integer_walk_reduces_by_both_gcds():
+    assert build_leg(Word(GCD.slopes[::-2])).prefix_products == (Fraction(27, 8), Fraction(3, 2))
+    for depth in range(7):
+        legs = enumerate_legs(GCD, depth).legs
+        reference = enumerate_legs_reference(GCD, depth)
+        assert len(legs) == len(reference) == 3**depth
+        for leg, ref in zip(legs, reference):
+            _assert_exact_leg(leg, ref)
+    rng = random.Random(22)
+    for _ in range(200):
+        symbols = tuple(GCD.slopes[rng.randrange(3)] for _ in range(40))
+        _assert_exact_leg(build_leg(Word(symbols)), leg_reference(symbols))
+
+
 def test_word_converts_only_non_fraction_symbols():
     mixed = Word((1, Fraction(1, 2)))
     exact = Word((Fraction(1), Fraction(1, 2)))
@@ -508,9 +535,24 @@ def _leg_orders() -> dict:
     }
 
 
-@pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])
+def _saved_fans() -> dict:
+    """The fans of `_leg_orders`, G and L enumerated at depths 0-6, and an empty fan."""
+    fans = _leg_orders()
+    for name, relation in (("G", G), ("Lrr", L)):
+        for depth in range(7):
+            fans[f"{name}{depth}"] = enumerate_legs(relation, depth)
+    fans["empty"] = FanApprox(F, 3, ())
+    return fans
+
+
+@pytest.mark.parametrize(
+    "order",
+    ["enumerated", "shuffled", "reversed", "sampled", "depth-0", "empty"]
+    + [f"{name}{depth}" for name in ("G", "Lrr") for depth in range(7)],
+)
 def test_save_fan_writes_one_indented_dump(tmp_path, order):
-    fan = _leg_orders()[order]
+    # save_fan writes leg by leg; its bytes are those of one json.dumps.
+    fan = _saved_fans()[order]
     path = tmp_path / "legs.json"
     save_fan(fan, path)
     expected = json.dumps(fan_to_dict(fan), indent=2) + "\n"
@@ -598,10 +640,14 @@ def test_symbol_values_memoises_nothing_when_missing_raises():
     assert lookup(copies) == list(reversed(range(len(Q.slopes))))
 
 
-def test_fan_to_dict_writes_a_foreign_symbol():
+def test_fan_to_dict_writes_a_foreign_symbol(tmp_path):
     leg = build_leg(Word((Fraction(1, 2), Fraction(7, 5))))
-    data = fan_to_dict(FanApprox(F, 2, (leg,)))
-    assert data["legs"] == [{"word": ["1/2", "7/5"], "t_max": "1"}]
+    fan = FanApprox(F, 2, (leg, enumerate_legs(F, 2).legs[-1], leg))
+    data = fan_to_dict(fan)
+    assert data["legs"][0] == data["legs"][2] == {"word": ["1/2", "7/5"], "t_max": "1"}
+    path = tmp_path / "legs.json"
+    save_fan(fan, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(data, indent=2) + "\n"
 
 
 def _malformed(case: str) -> dict:
