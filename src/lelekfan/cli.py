@@ -136,22 +136,13 @@ def cmd_endpoints(args) -> int:
         fan = mahavier.load_fan(args.infile)
     else:
         fan = _build_fan(args, args.relation)
-    degenerating = 0
-    # The report's fields after each leg's t_max, laid out as
-    # json.dumps(..., indent=2) lays out a leg object inside "legs".
-    kind = f',\n      "kind": {json.dumps(analysis.EXACT)},\n      "peak_index": '
-    flags = {
-        flag: f',\n      "peak_value": "1",\n      "degenerating": {json.dumps(flag)}'
-        for flag in (False, True)
-    }
 
     # Every tip is an exact end-point, so it is not built or classified:
     # `_grow_legs` sets t_max = 1/max(1, P_1, ..., P_n), and `fan_from_dict`
     # rejects a stored t_max that differs from it. The tip (t_max, P_1*t_max,
     # ..., P_n*t_max) first reaches 1 at index 0 when t_max = 1, else at the
     # index k of the first P_k = 1/t_max.
-    def fields(leg) -> str:
-        nonlocal degenerating
+    def fields(leg) -> dict:
         t_max = leg.t_max
         peak_index = 0
         if t_max != 1:
@@ -159,25 +150,24 @@ def cmd_endpoints(args) -> int:
             for peak_index, p in enumerate(leg.prefix_products, 1):
                 if (p.numerator, p.denominator) == peak:
                     break
-        flagged = mahavier.is_degenerating(leg, threshold)
-        degenerating += flagged
-        return f"{kind}{peak_index}{flags[flagged]}"
-
-    # "degenerating" precedes "legs", so the legs' text is built first.
-    legs = "".join(mahavier._legs_json(fan, fields))
-    head = mahavier._json_head(
-        {
-            "depth": fan.depth,
-            "delta": format_scalar(delta),
-            "degeneracy_threshold": format_scalar(threshold),
-            "total": len(fan.legs),
-            analysis.EXACT: len(fan.legs),
-            analysis.APPROXIMATE: 0,
-            analysis.NOT_CERTIFIED: 0,
-            "degenerating": degenerating,
+        return {
+            "kind": analysis.EXACT,
+            "peak_index": peak_index,
+            "peak_value": "1",
+            "degenerating": mahavier.is_degenerating(leg, threshold),
         }
-    )
-    _write((head, legs, "\n}\n"), args.report)
+
+    head = {
+        "depth": fan.depth,
+        "delta": format_scalar(delta),
+        "degeneracy_threshold": format_scalar(threshold),
+        "total": len(fan.legs),
+        analysis.EXACT: len(fan.legs),
+        analysis.APPROXIMATE: 0,
+        analysis.NOT_CERTIFIED: 0,
+        "degenerating": sum(mahavier.is_degenerating(leg, threshold) for leg in fan.legs),
+    }
+    _write(list(mahavier._fan_json(head, fan, fields)), args.report)
     return EXIT_OK
 
 
@@ -267,6 +257,15 @@ def _add_slope_args(parser, with_depth=True, depth_default=6):
         )
 
 
+def _add_fan_args(parser):
+    """The slope options and the four options `_build_fan` reads to make a fan."""
+    _add_slope_args(parser)
+    parser.add_argument("--relation", choices=RELATIONS, default="F")
+    parser.add_argument("--sample", type=int, default=None, metavar="M", help="sample M words instead of enumerating")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,11 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_nc)
 
     p = sub.add_parser("build", help="enumerate or sample legs and write a leg file")
-    _add_slope_args(p)
-    p.add_argument("--relation", choices=RELATIONS, default="F")
-    p.add_argument("--sample", type=int, default=None, metavar="M", help="sample M words instead of enumerating")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
+    _add_fan_args(p)
     p.add_argument("--out", required=True, help="output leg file (JSON)")
     p.set_defaults(func=cmd_build)
 
@@ -293,11 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endpoints", help="classify leg tips and flag degenerating words")
     p.add_argument("--in", dest="infile", default=None, help="leg file to read (else build)")
-    _add_slope_args(p)
-    p.add_argument("--relation", choices=RELATIONS, default="F")
-    p.add_argument("--sample", type=int, default=None, metavar="M")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
+    _add_fan_args(p)
     p.add_argument(
         "--delta", default=delta,
         help="every leg tip is exact, so this tolerance is only validated and echoed",

@@ -393,7 +393,8 @@ def fan_to_dict(fan: FanApprox) -> dict:
     """JSON-ready form of a fan: slopes, depth and per-leg word plus t_max.
 
     `save_fan` writes the text json.dumps(..., indent=2) gives this dict
-    without building the dict.
+    without building the dict, through `_fan_json`, the writer `fan
+    endpoints` shares; this function is kept apart as the reference.
     """
     format_word = word_formatter(fan.relation)
     return {
@@ -489,26 +490,42 @@ def fan_from_dict(data: dict) -> FanApprox:
     return FanApprox(relation, depth, tuple(legs))
 
 
-def _json_item(symbol) -> str:
-    # A word's item line, indented as json.dumps(..., indent=2) indents it
-    # inside "legs".
-    return "\n        " + json.dumps(format_scalar(symbol))
+def _fan_json(fields: dict, fan: FanApprox, more=None):
+    """A fan document's text in pieces: the head, one piece per leg, the close.
 
-
-def _legs_json(fan: FanApprox, more=None):
-    """The "legs" array of a fan's JSON form, one string per leg.
-
-    Joined, the strings are the text `json.dumps(..., indent=2)` writes for
-    the array as the value of a top-level field: the first opens it with
-    "[", the last closes it ("[]" when there are no legs). Each slope's
-    indented line is formatted once, through `_symbol_values`, and each
-    distinct t_max object once: the fan's leg tuple keeps every t_max
-    alive, so no memoised id is reused. `more(leg)`, when given, returns
-    the text of the leg's further fields, laid out as json.dumps lays them
-    out, which is put after "t_max".
+    Joined, the pieces are json.dumps({**fields, "legs": legs}, indent=2)
+    and a newline, where each leg is {"word": ..., "t_max": ...} formatted
+    by `format_scalar`, followed by the fields of `more(leg)` when `more`
+    is given. This is the only code that lays out a leg file or an
+    endpoint report. Each slope's indented line is formatted once, through
+    `_symbol_values`, and each distinct t_max object once: the fan's leg
+    tuple keeps every t_max alive, so no memoised id is reused.
     """
-    items = _symbol_values(fan.relation, [_json_item(s) for s in fan.relation.slopes], _json_item)
     t_max_texts: dict[int, str] = {}
+    field_texts: dict[tuple, str] = {}
+
+    def word_item(symbol) -> str:
+        # A word's item line, indented as json.dumps indents it inside "legs".
+        return "\n        " + json.dumps(format_scalar(symbol))
+
+    def field_text(item) -> str:
+        # A field of `more(leg)`, laid out as json.dumps lays it out after
+        # "t_max". A field whose key is a str and whose value has one of
+        # these exact types is laid out once per distinct (key, type,
+        # value): True == 1, so a memo keyed by value alone would write one
+        # for the other. Floats are laid out every time, since -0.0 == 0.0.
+        key, value = item
+        memoised = type(key) is str and type(value) in (str, int, bool, type(None))
+        text = field_texts.get((key, type(value), value)) if memoised else None
+        if text is None:
+            text = ",\n    " + json.dumps({key: value}, indent=2)[2:-2].replace("\n", "\n    ")
+            if memoised:
+                field_texts[key, type(value), value] = text
+        return text
+
+    items = _symbol_values(fan.relation, [word_item(s) for s in fan.relation.slopes], word_item)
+    # The head: the text of the document with no legs, up to its "[]\n}".
+    yield json.dumps({**fields, "legs": []}, indent=2)[: -len("[]\n}")]
     opening = first = "[\n    {"
     for leg in fan.legs:
         t_max = leg.t_max
@@ -517,37 +534,22 @@ def _legs_json(fan: FanApprox, more=None):
             t_text = t_max_texts[id(t_max)] = json.dumps(format_scalar(t_max))
         word = ",".join(items(leg.word.symbols))
         word = f"[{word}\n      ]" if word else "[]"
-        fields = more(leg) if more else ""
-        yield f'{opening}\n      "word": {word},\n      "t_max": {t_text}{fields}\n    }}'
+        extra = "".join(map(field_text, more(leg).items())) if more else ""
+        yield f'{opening}\n      "word": {word},\n      "t_max": {t_text}{extra}\n    }}'
         opening = ",\n    {"
-    yield "[]" if opening is first else "\n  ]"
-
-
-def _json_head(fields: dict) -> str:
-    """The text of json.dumps({**fields, "legs": ...}, indent=2) up to the legs array.
-
-    The document goes on with the array's text, a newline and "}".
-    """
-    return json.dumps({**fields, "legs": []}, indent=2)[: -len("[]\n}")]
+    yield "[]\n}\n" if opening is first else "\n  ]\n}\n"
 
 
 def save_fan(fan: FanApprox, path) -> None:
     """Write a fan's JSON form, indented by 2, with a final newline.
 
     The bytes are those of json.dumps(fan_to_dict(fan), indent=2) and a
-    newline, but the legs are written one at a time by `_legs_json`, so
-    neither the dict nor the whole text is built.
+    newline, but `_fan_json` writes the legs one at a time, so neither the
+    dict nor the whole text is built.
     """
-    head = _json_head(
-        {
-            "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
-            "depth": fan.depth,
-        }
-    )
+    slopes = [format_scalar(s) for s in fan.relation.slopes]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(head)
-        handle.writelines(_legs_json(fan))
-        handle.write("\n}\n")
+        handle.writelines(_fan_json({"relation": {"slopes": slopes}, "depth": fan.depth}, fan))
 
 
 def load_fan(path) -> FanApprox:

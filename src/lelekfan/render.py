@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -42,13 +43,15 @@ class RenderConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+        # Compared exactly: an int past the float range is refused, not overflowed later.
+        largest = sys.float_info.max
+        if not (0 < self.width <= largest and 0 < self.height <= largest):
             raise DomainError("width and height must be positive and finite")
         if not 0 < self.sweep < 180:
             raise DomainError(f"sweep must lie in (0, 180) degrees, got {_echo(self.sweep)}")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):
             raise DomainError(f"unknown angle map: {_echo(repr(self.angle_map))}")
-        if not (math.isfinite(self.stroke_width) and self.stroke_width > 0):
+        if not 0 < self.stroke_width <= largest:
             raise DomainError(
                 f"stroke width must be positive and finite, got {_echo(self.stroke_width)}"
             )

@@ -360,8 +360,15 @@ F_HALF_THREE = fan_relation(Fraction(1, 2), Fraction(3))
             Fraction(1, 2**20),
             0,
         ),
+        (["--depth", "7"], enumerate_legs(F_HALF_THREE, 7), Fraction(1, 2**20), 0),
+        (
+            ["--relation", "Lrr", "--rho", "5", "--depth", "4", "--degeneracy-threshold", "1/30"],
+            enumerate_legs(line_pair_relation(Fraction(1, 2), Fraction(5)), 4),
+            Fraction(1, 30),
+            5,
+        ),
     ],
-    ids=["F5", "sampled", "degenerating", "G0"],
+    ids=["F5", "sampled", "degenerating", "G0", "F7", "Lrr4"],
 )
 def test_endpoints_report_is_one_indented_dump(capsys, tmp_path, argv, fan, threshold, flagged):
     # The report is written leg by leg; its bytes are those of one json.dumps.
@@ -485,14 +492,21 @@ def test_render_from_file(capsys, tmp_path):
     assert svg_a.read_text().count("<line ") == 16
 
 
-@pytest.mark.parametrize("width", ["nan", "inf", "-inf", "0"])
-def test_render_bad_stroke_width_exits_3(capsys, tmp_path, width):
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--stroke-width", width, "stroke width") for width in ("nan", "inf", "-inf", "0")]
+    # 400 nines: an int past the float range, refused before any drawing.
+    + [(option, "9" * 400, "width and height") for option in ("--width", "--height")],
+    ids=["nan", "inf", "-inf", "0", "width-400-digits", "height-400-digits"],
+)
+def test_render_bad_stroke_width_exits_3(capsys, tmp_path, option, value, message):
     legs = tmp_path / "legs.json"
     svg = tmp_path / "x.svg"
     main(["build", "--relation", "G", "--depth", "2", "--out", str(legs)])
     capsys.readouterr()
-    assert main(["render", "--in", str(legs), "--out", str(svg), f"--stroke-width={width}"]) == 3
-    assert "stroke width" in capsys.readouterr().err
+    assert main(["render", "--in", str(legs), "--out", str(svg), f"{option}={value}"]) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 1024
     assert not svg.exists()
 
 

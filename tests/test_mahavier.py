@@ -37,7 +37,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
-from lelekfan.mahavier import _symbol_values, word_formatter
+from lelekfan.mahavier import _fan_json, _symbol_values, word_formatter
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -536,10 +536,10 @@ def _leg_orders() -> dict:
 
 
 def _saved_fans() -> dict:
-    """The fans of `_leg_orders`, G and L enumerated at depths 0-6, and an empty fan."""
+    """The fans of `_leg_orders`, F, G and L enumerated at depths 0-7, and an empty fan."""
     fans = _leg_orders()
-    for name, relation in (("G", G), ("Lrr", L)):
-        for depth in range(7):
+    for name, relation in (("F", F), ("G", G), ("Lrr", L)):
+        for depth in range(8):
             fans[f"{name}{depth}"] = enumerate_legs(relation, depth)
     fans["empty"] = FanApprox(F, 3, ())
     return fans
@@ -548,7 +548,7 @@ def _saved_fans() -> dict:
 @pytest.mark.parametrize(
     "order",
     ["enumerated", "shuffled", "reversed", "sampled", "depth-0", "empty"]
-    + [f"{name}{depth}" for name in ("G", "Lrr") for depth in range(7)],
+    + [f"{name}{depth}" for name in ("F", "G", "Lrr") for depth in range(8)],
 )
 def test_save_fan_writes_one_indented_dump(tmp_path, order):
     # save_fan writes leg by leg; its bytes are those of one json.dumps.
@@ -557,6 +557,44 @@ def test_save_fan_writes_one_indented_dump(tmp_path, order):
     save_fan(fan, path)
     expected = json.dumps(fan_to_dict(fan), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# The further fields of leg i are EXTRA_FIELDS[name][i % len]. Equal
+# values of different types (True == 1, False == 0, -0.0 == 0.0) on
+# successive legs under one key: a memo of field texts keyed by value alone
+# writes the first one's text for the other.
+EXTRA_FIELDS = {
+    "true-then-1": ({"flag": True}, {"flag": 1}),
+    "1-then-true": ({"flag": 1}, {"flag": True}),
+    "0-and-false": ({"flag": 0, "other": False}, {"flag": False, "other": 0}),
+    "signed-zeros": ({"x": 0.0}, {"x": -0.0}, {"x": 0}),
+    "string": ({"kind": "exact", "note": 'a "quoted"\nline'}, {"kind": "1"}),
+    "none": ({"value": None}, {"value": "null"}),
+    "empty-more": ({},),
+    "empty-dict-value": ({"meta": {}}, {"meta": []}),
+    "nested": ({"meta": {"a": [1, {"b": None}], "c": {}}, "n": 2},),
+}
+
+
+@pytest.mark.parametrize("fields", EXTRA_FIELDS)
+@pytest.mark.parametrize("name", ["F3", "sampled", "depth-0", "empty"])
+def test_fan_json_lays_out_extra_fields_as_json_dumps(name, fields):
+    fan = {
+        "F3": enumerate_legs(F, 3),
+        "sampled": FanApprox(F, 20, sample_legs(F, 20, 12, seed=5)),
+        "depth-0": FanApprox(G, 0, tuple(build_leg(Word(())) for _ in range(3))),
+        "empty": FanApprox(F, 3, ()),
+    }[name]
+    choices = EXTRA_FIELDS[fields]
+    position = {id(leg): i for i, leg in enumerate(fan.legs)}
+
+    def more(leg):
+        return choices[position[id(leg)] % len(choices)]
+
+    head = {"depth": fan.depth, "count": 0, "flagged": True, "nested": {"a": [1, {}]}}
+    legs = [{**d, **choices[i % len(choices)]} for i, d in enumerate(fan_to_dict(fan)["legs"])]
+    expected = json.dumps({**head, "legs": legs}, indent=2) + "\n"
+    assert "".join(_fan_json(head, fan, more)) == expected
 
 
 @pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])

@@ -109,9 +109,13 @@ def test_config_validation():
         render_fan(FanApprox(F, 2, ()))
     with pytest.raises(DomainError, match="unknown angle map: 'spiral'"):
         angle_fractions(enumerate_legs(F, 2), "spiral")
-    for width in (float("nan"), float("inf"), float("-inf"), 0.0):
+    for width in (float("nan"), float("inf"), float("-inf"), 0.0, 10**5000):
         with pytest.raises(DomainError, match="stroke width"):
             RenderConfig(stroke_width=width)
+    # Ints past the float range are refused, not overflowed while drawing.
+    for size in ({"width": 10**400}, {"height": 10**309}):
+        with pytest.raises(DomainError, match="width and height must be positive and finite"):
+            RenderConfig(**size)
 
 
 def test_angles_find_equal_but_distinct_symbols():
