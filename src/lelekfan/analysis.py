@@ -24,8 +24,8 @@ from .mahavier import (
     FanApprox,
     PointPrefix,
     RelationSpec,
+    _grow_legs,
     _symbol_values,
-    build_leg,
     cantor_relation,
     draw_word,
     enumerate_legs,
@@ -337,14 +337,17 @@ def sample_points(fan: FanApprox, count: int, seed: int) -> list[PointPrefix]:
 def sample_deep_points(relation: RelationSpec, depth: int, count: int, seed: int) -> list[PointPrefix]:
     """Deterministic depth-n point sample: per draw a uniform word, then a uniform grid parameter.
 
-    For depths where enumeration is infeasible.
+    For depths where enumeration is infeasible. The words go through one
+    `_grow_legs` walk, which draws word i only when leg i is pulled, so
+    the draws stay in the order word i, then parameter i.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
     if count < 0:
         raise DomainError("count must be non-negative")
     rng = random.Random(seed)
-    return [_point_on(build_leg(draw_word(rng, relation, depth)), rng) for _ in range(count)]
+    words = (draw_word(rng, relation, depth).symbols for _ in range(count))
+    return [_point_on(leg, rng) for leg in _grow_legs(words)]
 
 
 def density_sweep(
@@ -402,14 +405,16 @@ def _checked_float(p: Fraction, weight: float) -> float:
 def _float_rows(legs, weights):
     """Per leg: its products (1.0, P_1, ..., P_n) and its cap t_max, as floats.
 
-    Each prefix product object is converted once, keyed by id: legs from
-    _grow_legs share their leading products.
+    Each prefix product object is converted once per depth, keyed by id:
+    legs from _grow_legs share one object per value, also across depths,
+    and whether a product underflows once weighted depends on the depth's
+    weight, so each depth has its own memo.
     """
-    floats: dict[int, float] = {}
     tail = weights[1:]
+    memos: list[dict[int, float]] = [{} for _ in tail]
     for leg in legs:
         row = [1.0]
-        for weight, p in zip(tail, leg.prefix_products):
+        for floats, weight, p in zip(memos, tail, leg.prefix_products):
             value = floats.get(id(p))
             if value is None:
                 value = floats[id(p)] = _checked_float(p, weight)

@@ -107,7 +107,8 @@ class Leg(Value, namedtuple("Leg", "word prefix_products t_max")):
 
     The empty product P_0 = 1 is implicit; the depth-n point at parameter t
     is (t, P_1*t, ..., P_n*t), inside [0,1]^(n+1) exactly when t <= t_max.
-    Fields are stored as given.
+    Fields are stored as given. Products and t_max may be shared objects:
+    legs built by one walk share one Fraction per value, also across depths.
     """
 
     __slots__ = ()
@@ -194,54 +195,71 @@ def membership(point: PointPrefix, relation: RelationSpec) -> bool:
 def _grow_legs(words):
     """One Leg per symbol tuple of `words`, in the order given.
 
-    A word reuses the prefix products and running peaks max(1, P_1, ...,
-    P_k) of the word before it for the leading symbols the two share,
-    compared by identity, so words in lexicographic order over one slope
-    tuple cost about one product each. This is the only place prefix
-    products are multiplied, and it works on integers: P_k = n/d times the
-    slope sn/sd is (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n,
-    sd) and g2 = gcd(sn, d), already in lowest terms, and one Fraction is
-    built per product. A new peak is found by cross-multiplication, and
-    t_max = 1/peak is built once per distinct peak, on the first leg that
-    ends with it, so legs ending with one peak share their t_max object.
+    Each value is built once per walk (hash-consing): one Fraction per
+    distinct prefix product, one t_max per distinct running peak max(1,
+    P_1, ..., P_k) and one state (P_k, peak) per distinct pair, so legs
+    share their product and t_max objects. A step from a state by a
+    symbol is computed once, on integers: P_k = n/d times the slope sn/sd
+    is (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n, sd) and g2 =
+    gcd(sn, d), in lowest terms. Taken again, it is one lookup by both
+    ids. A word resumes from the state the word before it reached after
+    the leading symbols the two share, compared by identity.
+
+    The tables die with the walk. No state refers to another (the slope 1
+    maps a state to itself), so the walk makes no reference cycle, and
+    each symbol whose id is a key is kept alive, so no id is reused.
 
     Every symbol tuple must be a tuple of exact Fractions. Every caller
-    passes one: `itertools.product` over a relation's slopes, `build_leg`
-    (a Word's symbols) and `fan_from_dict` (the relation's own slope
-    objects). So Word and Leg are built with `tuple.__new__`, which skips
-    `Word`'s conversion check.
+    passes one: `itertools.product` over a relation's slopes, `draw_word`
+    and `build_leg` (a Word's symbols) and `fan_from_dict` (the
+    relation's own slope objects). So Word and Leg are built with
+    `tuple.__new__`, which skips `Word`'s conversion check.
     """
     new = tuple.__new__
-    # A running peak as [numerator, denominator, t_max or None until used].
-    unit = [1, 1, Fraction(1)]
+    one = Fraction(1)
+    start = (one, one)  # the empty word's product and peak
+    fractions = {(1, 1): one}  # (n, d) -> the walk's Fraction n/d
+    states = {(id(one), id(one)): start}  # (id(P), id(peak)) -> (P, peak)
+    steps = {}  # (id(state), id(symbol)) -> the state it steps to
+    kept = {}  # id(symbol) -> symbol, for every symbol id in `steps`
+    t_maxes = {}  # id(peak) -> 1/peak
     previous = ()
     products: list[Fraction] = []
-    peaks: list[list] = []
+    path: list[tuple] = []
     for symbols in words:
         shared = 0
         for s, p in zip(symbols, previous):
             if s is not p:
                 break
             shared += 1
-        del products[shared:], peaks[shared:]
-        if shared:
-            last = products[-1]
-            n, d = last.numerator, last.denominator
-            peak = peaks[-1]
-        else:
-            n = d = 1
-            peak = unit
+        del products[shared:], path[shared:]
+        state = path[-1] if shared else start
         for s in symbols[shared:]:
-            sn, sd = s.numerator, s.denominator
-            g1, g2 = gcd(n, sd), gcd(sn, d)
-            n, d = (n // g1) * (sn // g2), (d // g2) * (sd // g1)
-            products.append(Fraction(n, d))
-            if n * peak[1] > peak[0] * d:
-                peak = [n, d, None]
-            peaks.append(peak)
-        t_max = peak[2]
+            key = (id(state), id(s))
+            following = steps.get(key)
+            if following is None:
+                product, peak = state
+                n, d = product.numerator, product.denominator
+                sn, sd = s.numerator, s.denominator
+                g1, g2 = gcd(n, sd), gcd(sn, d)
+                n, d = (n // g1) * (sn // g2), (d // g2) * (sd // g1)
+                product = fractions.get((n, d))
+                if product is None:
+                    product = fractions[n, d] = Fraction(n, d)
+                if n * peak.denominator > peak.numerator * d:
+                    peak = product
+                following = states.get((id(product), id(peak)))
+                if following is None:
+                    following = states[id(product), id(peak)] = (product, peak)
+                steps[key] = following
+                kept[id(s)] = s
+            state = following
+            path.append(state)
+            products.append(state[0])
+        peak = state[1]
+        t_max = t_maxes.get(id(peak))
         if t_max is None:
-            t_max = peak[2] = Fraction(peak[1], peak[0])
+            t_max = t_maxes[id(peak)] = Fraction(peak.denominator, peak.numerator)
         previous = symbols
         yield new(Leg, (new(Word, (symbols,)), tuple(products), t_max))
 
@@ -271,12 +289,11 @@ def enumerate_legs(
 ) -> FanApprox:
     """All legs of the given depth, one per word, in lexicographic slope order.
 
-    Words come from itertools.product over the slopes and share one
-    prefix-sharing walk with `fan_from_dict`: each word extends the
-    prefix products of the word before it, so a leg costs about one
-    Fraction multiply. Distinct words give distinct legs: slopes are
-    distinct and positive, so at the first symbol where two words differ
-    their prefix products differ too. Raises ResourceError when
+    Words come from itertools.product over the slopes and go through one
+    `_grow_legs` walk, as in `fan_from_dict`: each word resumes from the
+    word before it, so a leg costs about one step. Distinct words give
+    distinct legs: slopes are distinct and positive, so at the first
+    symbol where two words differ their prefix products differ too. Raises ResourceError when
     |slopes|^depth exceeds the budget; use sample_legs for such depths.
     """
     if depth < 0:
@@ -303,13 +320,17 @@ def draw_word(rng: random.Random, relation: RelationSpec, depth: int) -> Word:
 
 
 def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tuple[Leg, ...]:
-    """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed."""
+    """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed.
+
+    All the drawn words go through one `_grow_legs` walk, so the legs
+    share their product and t_max objects.
+    """
     if depth < 0:
         raise DomainError("depth must be non-negative")
     if count < 0:
         raise DomainError("count must be non-negative")
     rng = random.Random(seed)
-    return tuple(build_leg(draw_word(rng, relation, depth)) for _ in range(count))
+    return tuple(_grow_legs(draw_word(rng, relation, depth).symbols for _ in range(count)))
 
 
 def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction]:
@@ -426,10 +447,10 @@ def fan_from_dict(data: dict) -> FanApprox:
     that disagrees with the recomputed value is a FormatError, and so is
     any field of the wrong JSON type. Each distinct scalar text is parsed
     and checked once per call. Every symbol is the relation's own slope
-    object, so the legs are rebuilt by the prefix-sharing walk that
-    `enumerate_legs` uses, and a file in `enumerate_legs` order costs
-    about one Fraction multiply per leg. Legs are parsed, rebuilt and
-    checked one at a time, so the first error in file order is reported.
+    object, so the legs are rebuilt by one `_grow_legs` walk, as in
+    `enumerate_legs`, and a file in `enumerate_legs` order costs about
+    one step per leg. Legs are parsed, rebuilt and checked one at a time,
+    so the first error in file order is reported.
     """
     try:
         slope_texts = data["relation"]["slopes"]

@@ -112,13 +112,19 @@ def _fmt(value: float) -> str:
 
 
 def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
-    """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs."""
+    """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs.
+
+    Legs built by one walk share their t_max objects, so each distinct
+    t_max is converted to a stroke length once, keyed by id. An angle
+    x = p/q is converted as p / q, which rounds correctly, as float(x) does.
+    """
     if not fan.legs:
         raise DomainError("cannot render an empty fan")
     width, height = config.width, config.height
     margin = 10.0
     apex_x, apex_y = width / 2.0, margin + 10.0  # top-center
-    half_sweep = math.radians(config.sweep) / 2.0
+    sweep = math.radians(config.sweep)
+    half_sweep = sweep / 2.0
     vertical = height - apex_y - margin
     horizontal = (apex_x - margin) / math.sin(half_sweep)
     radius = max(min(vertical, horizontal), 1.0)
@@ -129,15 +135,17 @@ def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">',
     ]
-    for leg, x_frac in angle_fractions(fan, config.angle_map):
-        phi = (float(x_frac) - 0.5) * math.radians(config.sweep)
-        length = radius * float(leg.t_max)
+    apex = f'<line x1="{_fmt(apex_x)}" y1="{_fmt(apex_y)}" '
+    lengths: dict[int, float] = {}  # the fan's legs keep every t_max alive
+    for leg, x in angle_fractions(fan, config.angle_map):
+        t_max = leg.t_max
+        length = lengths.get(id(t_max))
+        if length is None:
+            length = lengths[id(t_max)] = radius * (t_max.numerator / t_max.denominator)
+        phi = (x.numerator / x.denominator - 0.5) * sweep
         end_x = apex_x + length * math.sin(phi)
         end_y = apex_y + length * math.cos(phi)
-        parts.append(
-            f'<line x1="{_fmt(apex_x)}" y1="{_fmt(apex_y)}" '
-            f'x2="{_fmt(end_x)}" y2="{_fmt(end_y)}"/>'
-        )
+        parts.append(f'{apex}x2="{_fmt(end_x)}" y2="{_fmt(end_y)}"/>')
     parts.append("</g>")
     parts.append("</svg>")
     parts.append("")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -51,13 +52,14 @@ from lelekfan import (
     verify_embedding,
 )
 from lelekfan import analysis
-from lelekfan.mahavier import word_formatter
+from lelekfan.mahavier import _grow_legs, word_formatter
 from oracles import (
     best_climb_max_by_enumeration,
     deep_points_reference,
     greedy_reference,
     hausdorff_all_samples_float,
     hausdorff_max_min_exact,
+    leg_reference,
     oracle_trace_by_preorder,
     points_reference,
 )
@@ -424,14 +426,17 @@ def test_density_verdict_short_budgets_and_prefix_peaks():
 
 def test_sample_deep_points_draw_order():
     # Each point draws its word's symbols first, then its parameter; the
-    # density and embed-check reports depend on this order.
-    for relation, depth in ((F, 12), (cantor_relation(R), 30), (F, 0)):
-        points = sample_deep_points(relation, depth, 30, seed=4)
+    # density and embed-check reports depend on this order. One walk builds
+    # every leg, pulling word i just before parameter i is drawn.
+    relations = (F, cantor_relation(R), fan_relation(Fraction(5, 7), Fraction(11, 4)))
+    for relation, depth, count, seed in itertools.product(
+        relations, (0, 1, 12, 40), (0, 30), (4, 11)
+    ):
         expected = []
-        for word, fraction in deep_points_reference(relation.slopes, depth, 30, seed=4):
-            leg = build_leg(Word(word))
+        for word, fraction in deep_points_reference(relation.slopes, depth, count, seed):
+            leg = leg_reference(word)
             expected.append(leg_point(leg, leg.t_max * fraction))
-        assert points == expected
+        assert sample_deep_points(relation, depth, count, seed) == expected
 
 
 def test_sample_deep_points_negative_depth_is_domain_error():
@@ -1006,6 +1011,23 @@ def test_hausdorff_weighted_underflow_is_domain_error():
     fan = enumerate_legs(cantor_relation(Fraction(1, 2**1074)), 1)
     assert float(fan.legs[0].prefix_products[0]) > 0.0
     for a, b in [(fan, enumerate_legs(F, 1)), (enumerate_legs(F, 1), fan)]:
+        with pytest.raises(DomainError, match="overflows a float or underflows to 0"):
+            directed_hausdorff(a, b)
+
+
+def test_hausdorff_underflow_is_checked_at_every_depth():
+    # P_1 = r = 2^-1000 passes once weighted by 2^-2 at depth 1, but P_75 = r
+    # underflows to 0.0 once weighted by 2^-76. One walk builds a single
+    # object for r at every depth, so a float memo keyed by the object alone
+    # would check it at depth 1 only.
+    relation = cantor_relation(Fraction(1, 2**1000))
+    r, one = relation.slopes
+    words = ((r,) + (one,) * 79, (one,) * 80)
+    built = [build_leg(Word(w)) for w in words]
+    walked = list(_grow_legs(words))
+    assert walked == built
+    for leg_a, leg_b in (built, walked):
+        a, b = FanApprox(relation, 80, (leg_a,)), FanApprox(relation, 80, (leg_b,))
         with pytest.raises(DomainError, match="overflows a float or underflows to 0"):
             directed_hausdorff(a, b)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from fractions import Fraction
@@ -37,7 +38,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
-from lelekfan.mahavier import _fan_json, _symbol_values, word_formatter
+from lelekfan.mahavier import _fan_json, _grow_legs, _symbol_values, word_formatter
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -342,6 +343,47 @@ def test_integer_walk_reduces_by_both_gcds():
     for _ in range(200):
         symbols = tuple(GCD.slopes[rng.randrange(3)] for _ in range(40))
         _assert_exact_leg(build_leg(Word(symbols)), leg_reference(symbols))
+    # One walk over words of mixed lengths in random order, with repeats and
+    # shared prefixes out of lexicographic order: every step the walk has
+    # taken before is found in its tables, and must give the same leg.
+    words = [
+        tuple(GCD.slopes[rng.randrange(3)] for _ in range(rng.randrange(12))) for _ in range(150)
+    ]
+    words += [w[: rng.randrange(len(w) + 1)] for w in words[:100]] + words[50:100]
+    rng.shuffle(words)
+    legs = list(_grow_legs(words))
+    assert len(legs) == len(words)
+    for leg, symbols in zip(legs, words):
+        _assert_exact_leg(leg, leg_reference(symbols))
+
+
+@pytest.mark.parametrize("name", ["F", "G", "L"])
+def test_walk_builds_one_fraction_per_value(name):
+    # Prefix products are shared across legs and depths: one object per
+    # distinct value, and one t_max per distinct cap.
+    relation = {"F": F, "G": G, "L": L}[name]
+    for depth in range(9):
+        legs = enumerate_legs(relation, depth).legs
+        products = [p for leg in legs for p in leg.prefix_products]
+        assert all(type(p) is Fraction for p in products)
+        assert len({id(p) for p in products}) == len(set(products))
+        assert all(type(leg.t_max) is Fraction for leg in legs)
+        assert len({id(leg.t_max) for leg in legs}) == len({leg.t_max for leg in legs})
+
+
+def test_walk_leaves_no_reference_cycle():
+    # The slope 1 maps a walk state to itself; the step table is keyed by
+    # ids, so no state refers to another and refcounting frees the fan.
+    gc.collect()
+    gc.disable()
+    try:
+        fan = enumerate_legs(F, 6)
+        legs = sample_legs(F, 40, 50, seed=3)
+        assert len(fan.legs) == 3**6 and len(legs) == 50
+        del fan, legs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_word_converts_only_non_fraction_symbols():
@@ -353,6 +395,24 @@ def test_word_converts_only_non_fraction_symbols():
     # a tuple of Fractions is stored as given
     symbols = (Fraction(1, 2), Fraction(3))
     assert Word(symbols).symbols is symbols
+
+
+def test_sample_legs_is_build_leg_of_each_drawn_word():
+    # One walk builds every sampled leg; it must equal build_leg of each
+    # word drawn by the documented rule, depth randrange calls per word.
+    for relation in (F, G, Q):
+        slopes = relation.slopes
+        for seed in (0, 1, 7, 2024):
+            for depth, count in ((0, 3), (1, 20), (9, 40), (60, 25), (5, 0)):
+                rng = random.Random(seed)
+                words = [
+                    tuple(slopes[rng.randrange(len(slopes))] for _ in range(depth))
+                    for _ in range(count)
+                ]
+                legs = sample_legs(relation, depth, count, seed)
+                assert legs == tuple(build_leg(Word(w)) for w in words)
+                for leg, w in zip(legs, words):
+                    _assert_exact_leg(leg, leg_reference(w))
 
 
 def test_sample_legs_deterministic():
