@@ -195,19 +195,21 @@ def membership(point: PointPrefix, relation: RelationSpec) -> bool:
 def _grow_legs(words):
     """One Leg per symbol tuple of `words`, in the order given.
 
-    Each value is built once per walk (hash-consing): one Fraction per
-    distinct prefix product, one t_max per distinct running peak max(1,
-    P_1, ..., P_k) and one state (P_k, peak) per distinct pair, so legs
-    share their product and t_max objects. A step from a state by a
-    symbol is computed once, on integers: P_k = n/d times the slope sn/sd
-    is (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n, sd) and g2 =
-    gcd(sn, d), in lowest terms. Taken again, it is one lookup by both
-    ids. A word resumes from the state the word before it reached after
-    the leading symbols the two share, compared by identity.
+    Each value is built once per walk (hash-consing): one table, keyed by
+    (n, d), holds the walk's Fraction n/d, whether it is a prefix product
+    P_k or a cap t_max = 1/max(1, P_1, ..., P_k), so legs share their
+    product and t_max objects. A step from (P_k, t_max) by a symbol is
+    computed once, on integers: P_k = n/d times the slope sn/sd is
+    (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n, sd) and g2 =
+    gcd(sn, d), in lowest terms, and a new peak n/d is compared with 1/t_max
+    by cross-multiplying and gives the cap d/n. Taken again, a step is one
+    lookup by the three ids. A word resumes from the step the word before
+    it reached after the leading symbols the two share, compared by
+    identity.
 
-    The tables die with the walk. No state refers to another (the slope 1
-    maps a state to itself), so the walk makes no reference cycle, and
-    each symbol whose id is a key is kept alive, so no id is reused.
+    The tables die with the walk and hold only Fractions and pairs of
+    them, so the walk makes no reference cycle. Each symbol whose id is a
+    key is kept alive, as every product and cap is, so no id is reused.
 
     Every symbol tuple must be a tuple of exact Fractions. Every caller
     passes one: `itertools.product` over a relation's slopes, `draw_word`
@@ -217,12 +219,9 @@ def _grow_legs(words):
     """
     new = tuple.__new__
     one = Fraction(1)
-    start = (one, one)  # the empty word's product and peak
-    fractions = {(1, 1): one}  # (n, d) -> the walk's Fraction n/d
-    states = {(id(one), id(one)): start}  # (id(P), id(peak)) -> (P, peak)
-    steps = {}  # (id(state), id(symbol)) -> the state it steps to
+    values = {(1, 1): one}  # (n, d) -> the walk's Fraction n/d
+    steps = {}  # (id(P), id(t_max), id(symbol)) -> (P', t_max')
     kept = {}  # id(symbol) -> symbol, for every symbol id in `steps`
-    t_maxes = {}  # id(peak) -> 1/peak
     previous = ()
     products: list[Fraction] = []
     path: list[tuple] = []
@@ -233,33 +232,27 @@ def _grow_legs(words):
                 break
             shared += 1
         del products[shared:], path[shared:]
-        state = path[-1] if shared else start
+        product, t_max = path[-1] if shared else (one, one)
         for s in symbols[shared:]:
-            key = (id(state), id(s))
+            key = (id(product), id(t_max), id(s))
             following = steps.get(key)
             if following is None:
-                product, peak = state
                 n, d = product.numerator, product.denominator
                 sn, sd = s.numerator, s.denominator
                 g1, g2 = gcd(n, sd), gcd(sn, d)
                 n, d = (n // g1) * (sn // g2), (d // g2) * (sd // g1)
-                product = fractions.get((n, d))
+                product = values.get((n, d))
                 if product is None:
-                    product = fractions[n, d] = Fraction(n, d)
-                if n * peak.denominator > peak.numerator * d:
-                    peak = product
-                following = states.get((id(product), id(peak)))
-                if following is None:
-                    following = states[id(product), id(peak)] = (product, peak)
-                steps[key] = following
+                    product = values[n, d] = Fraction(n, d)
+                if n * t_max.numerator > t_max.denominator * d:  # a new peak
+                    t_max = values.get((d, n))
+                    if t_max is None:
+                        t_max = values[d, n] = Fraction(d, n)
+                following = steps[key] = (product, t_max)
                 kept[id(s)] = s
-            state = following
-            path.append(state)
-            products.append(state[0])
-        peak = state[1]
-        t_max = t_maxes.get(id(peak))
-        if t_max is None:
-            t_max = t_maxes[id(peak)] = Fraction(peak.denominator, peak.numerator)
+            product, t_max = following
+            path.append(following)
+            products.append(product)
         previous = symbols
         yield new(Leg, (new(Word, (symbols,)), tuple(products), t_max))
 

@@ -114,9 +114,8 @@ def _fmt(value: float) -> str:
 def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
     """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs.
 
-    Legs built by one walk share their t_max objects, so each distinct
-    t_max is converted to a stroke length once, keyed by id. An angle
-    x = p/q is converted as p / q, which rounds correctly, as float(x) does.
+    A t_max or angle x = p/q is converted as p / q, which rounds
+    correctly, as float(x) does.
     """
     if not fan.legs:
         raise DomainError("cannot render an empty fan")
@@ -136,12 +135,9 @@ def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
         f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">',
     ]
     apex = f'<line x1="{_fmt(apex_x)}" y1="{_fmt(apex_y)}" '
-    lengths: dict[int, float] = {}  # the fan's legs keep every t_max alive
     for leg, x in angle_fractions(fan, config.angle_map):
         t_max = leg.t_max
-        length = lengths.get(id(t_max))
-        if length is None:
-            length = lengths[id(t_max)] = radius * (t_max.numerator / t_max.denominator)
+        length = radius * (t_max.numerator / t_max.denominator)
         phi = (x.numerator / x.denominator - 0.5) * sweep
         end_x = apex_x + length * math.sin(phi)
         end_y = apex_y + length * math.cos(phi)

@@ -359,21 +359,23 @@ def test_integer_walk_reduces_by_both_gcds():
 
 @pytest.mark.parametrize("name", ["F", "G", "L"])
 def test_walk_builds_one_fraction_per_value(name):
-    # Prefix products are shared across legs and depths: one object per
-    # distinct value, and one t_max per distinct cap.
+    # Prefix products and caps are shared across legs and depths: one
+    # object per distinct value over both, so a cap of 1 is the walk's 1
+    # that a slope-1 prefix reaches.
     relation = {"F": F, "G": G, "L": L}[name]
-    for depth in range(9):
-        legs = enumerate_legs(relation, depth).legs
-        products = [p for leg in legs for p in leg.prefix_products]
-        assert all(type(p) is Fraction for p in products)
-        assert len({id(p) for p in products}) == len(set(products))
-        assert all(type(leg.t_max) is Fraction for leg in legs)
-        assert len({id(leg.t_max) for leg in legs}) == len({leg.t_max for leg in legs})
+    fans = [enumerate_legs(relation, depth).legs for depth in range(9)]
+    fans.append(sample_legs(relation, 40, 50, seed=3))
+    fans.append(fan_from_dict(fan_to_dict(enumerate_legs(relation, 6))).legs)
+    for legs in fans:
+        values = [p for leg in legs for p in leg.prefix_products]
+        values += [leg.t_max for leg in legs]
+        assert all(type(v) is Fraction for v in values)
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_walk_leaves_no_reference_cycle():
-    # The slope 1 maps a walk state to itself; the step table is keyed by
-    # ids, so no state refers to another and refcounting frees the fan.
+    # The slope 1 maps a (product, t_max) pair to itself; the step table is
+    # keyed by ids, so no pair refers to another and refcounting frees the fan.
     gc.collect()
     gc.disable()
     try:

@@ -119,6 +119,7 @@ def test_values_convert_their_fields():
     assert PointPrefix(coords=[0, "1/2"]).coords == (Fraction(0), Fraction(1, 2))
     symbols = (RHO, R)
     assert Word(symbols).symbols is symbols  # exact Fractions are stored as given
+    assert (len(Word(())), len(Word((R,))), len(Word((RHO, R, 1)))) == (0, 1, 3)
 
 
 LEG = build_leg(Word((R,)))
