@@ -43,7 +43,6 @@ from .mahavier import (
     enumerate_legs,
     fan_from_dict,
     fan_relation,
-    fan_to_dict,
     is_degenerating,
     leg_point,
     line_pair_relation,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from .mahavier import (
     leg_point,
     membership,
     truncated_metric,
-    word_formatter,
     DEFAULT_ENUM_BUDGET,
 )
 from .nc import require_nc
@@ -431,8 +431,9 @@ def sample_resolution(fan: FanApprox, grid: int) -> float:
     half this spacing of a grid sample. The constant is accumulated from
     0.0 in coordinate order, then times the cap, divided by grid.
     """
-    if grid < 1:
-        raise DomainError("grid must be a positive integer")
+    # Compared exactly: a grid past the float range is refused, not overflowed below.
+    if not 1 <= grid <= sys.float_info.max:
+        raise DomainError("grid must be a positive integer no larger than the largest float")
     _require_legs(fan)
     weights = [2.0 ** -(k + 1) for k in range(fan.depth + 1)]
     resolution = 0.0
@@ -638,7 +639,8 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
 def hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[float, float]:
     """Enclosure (lower, upper) of the Hausdorff distance between two leg unions.
 
-    lower <= true distance <= upper; the gap shrinks as the grid grows.
+    lower <= true distance <= upper up to float rounding, since lower is a
+    float max-min not rounded down; the gap shrinks as the grid grows.
     """
     lo_ab, up_ab = directed_hausdorff(a, b, grid)
     lo_ba, up_ba = directed_hausdorff(b, a, grid)
@@ -656,7 +658,6 @@ def verify_embedding(
     depth: int,
     samples: int,
     seed: int,
-    extension_budget: int = DEFAULT_GREEDY_BUDGET,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Check, at finite depth, that the two-slope product embeds in the three-slope one.
@@ -667,8 +668,9 @@ def verify_embedding(
     clash in enumeration order is reported), (d) sampled points admit
     density witnesses at tolerance DEFAULT_DELTA for every epsilon of the
     schedule: the part of DENSITY_EPSILONS whose kept prefix of k0
-    coordinates fits in depth + 1. Returns a report dict with one
-    pass/fail entry per check and a first counterexample where applicable.
+    coordinates fits in depth + 1, each climb within DEFAULT_GREEDY_BUDGET
+    steps. Returns a report dict with one pass/fail entry per check and a
+    first counterexample where applicable.
     Requires samples >= 1 and depth >= 3, so the density checks never pass
     on no points and the schedule is never empty.
     """
@@ -682,10 +684,8 @@ def verify_embedding(
             f"depth {_echo(depth)} schedules no density check; "
             "depth 3 is the smallest depth that schedules epsilon = 1/16"
         )
-    full = fan_relation(r, rho)
-    fan_full = enumerate_legs(full, depth, budget)
+    fan_full = enumerate_legs(fan_relation(r, rho), depth, budget)
     fan_sub = enumerate_legs(cantor_relation(r), depth, budget)
-    format_word = word_formatter(full)
 
     bad = next(_legs_missing_from(fan_sub, fan_full), None)
     short = next((leg for leg in fan_sub.legs if leg.t_max != 1), None)
@@ -696,23 +696,22 @@ def verify_embedding(
             clash = (seen[leg.prefix_products], leg)
             break
         seen[leg.prefix_products] = leg
+
+    def word(leg) -> list[str]:
+        return [format_scalar(s) for s in leg.word.symbols]
+
     checks = [
-        _check("g-legs-are-f-legs", None if bad is None else {"word": format_word(bad.word)}),
+        _check("g-legs-are-f-legs", None if bad is None else {"word": word(bad)}),
         _check(
             "g-legs-full-length",
-            None
-            if short is None
-            else {"word": format_word(short.word), "t_max": format_scalar(short.t_max)},
+            None if short is None else {"word": word(short), "t_max": format_scalar(short.t_max)},
         ),
-        _check(
-            "leg-injectivity",
-            None if clash is None else {"words": [format_word(leg.word) for leg in clash]},
-        ),
+        _check("leg-injectivity", None if clash is None else {"words": [word(leg) for leg in clash]}),
     ]
 
     points = sample_points(fan_full, samples, seed)
     for eps in schedule:
-        failures, _, _ = density_sweep(points, eps, r, rho, extension_budget, DEFAULT_DELTA)
+        failures, _, _ = density_sweep(points, eps, r, rho, DEFAULT_GREEDY_BUDGET, DEFAULT_DELTA)
         checks.append(
             _check(f"density-epsilon-{format_scalar(eps)}", failures[0] if failures else None)
         )

@@ -389,38 +389,6 @@ def _symbol_values(relation: RelationSpec, values, missing):
     return lookup
 
 
-def word_formatter(relation: RelationSpec):
-    """A function formatting a word's symbols, each relation slope formatted once.
-
-    A symbol that is not a slope of the relation (a hand-built leg) is
-    formatted on its own.
-    """
-    texts = _symbol_values(relation, [format_scalar(s) for s in relation.slopes], format_scalar)
-
-    def format_word(word: Word) -> list[str]:
-        return texts(word.symbols)
-
-    return format_word
-
-
-def fan_to_dict(fan: FanApprox) -> dict:
-    """JSON-ready form of a fan: slopes, depth and per-leg word plus t_max.
-
-    `save_fan` writes the text json.dumps(..., indent=2) gives this dict
-    without building the dict, through `_fan_json`, the writer `fan
-    endpoints` shares; this function is kept apart as the reference.
-    """
-    format_word = word_formatter(fan.relation)
-    return {
-        "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
-        "depth": fan.depth,
-        "legs": [
-            {"word": format_word(leg.word), "t_max": format_scalar(leg.t_max)}
-            for leg in fan.legs
-        ],
-    }
-
-
 def _list_field(value, what: str) -> list:
     if type(value) is not list:
         raise FormatError(f"malformed leg file: {what} {_echo(repr(value))} is not a list")
@@ -557,9 +525,9 @@ def _fan_json(fields: dict, fan: FanApprox, more=None):
 def save_fan(fan: FanApprox, path) -> None:
     """Write a fan's JSON form, indented by 2, with a final newline.
 
-    The bytes are those of json.dumps(fan_to_dict(fan), indent=2) and a
-    newline, but `_fan_json` writes the legs one at a time, so neither the
-    dict nor the whole text is built.
+    The bytes are those of json.dumps(data, indent=2) and a newline, for
+    the dict data that `fan_from_dict` reads, but `_fan_json` writes the
+    legs one at a time, so neither the dict nor the whole text is built.
     """
     slopes = [format_scalar(s) for s in fan.relation.slopes]
     with open(path, "w", encoding="utf-8") as handle:

@@ -49,6 +49,10 @@ class RenderConfig(
             raise DomainError("width and height must be positive and finite")
         if not 0 < self.sweep < 180:
             raise DomainError(f"sweep must lie in (0, 180) degrees, got {_echo(self.sweep)}")
+        # Only a sweep far below 1 degree has a half-angle sine of 0. Larger ones skip
+        # the sine, so the default config built at import maps no libm sine pages.
+        if self.sweep < 1 and _half_sine(self.sweep) == 0:
+            raise DomainError(f"sweep {_echo(self.sweep)} degrees is too narrow to draw")
         if self.angle_map not in (ANGLE_CANTOR, ANGLE_UNIFORM):
             raise DomainError(f"unknown angle map: {_echo(repr(self.angle_map))}")
         if not 0 < self.stroke_width <= largest:
@@ -56,6 +60,11 @@ class RenderConfig(
                 f"stroke width must be positive and finite, got {_echo(self.stroke_width)}"
             )
         return self
+
+
+def _half_sine(sweep) -> float:
+    """sin(sweep / 2) for a sweep in degrees: `render_fan` divides by it."""
+    return math.sin(math.radians(sweep) / 2.0)
 
 
 def _digit_map(n_slopes: int) -> tuple[tuple[int, ...], int]:
@@ -123,9 +132,8 @@ def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
     margin = 10.0
     apex_x, apex_y = width / 2.0, margin + 10.0  # top-center
     sweep = math.radians(config.sweep)
-    half_sweep = sweep / 2.0
     vertical = height - apex_y - margin
-    horizontal = (apex_x - margin) / math.sin(half_sweep)
+    horizontal = (apex_x - margin) / _half_sine(config.sweep)
     radius = max(min(vertical, horizontal), 1.0)
 
     parts = [

@@ -4,7 +4,9 @@ These deliberately avoid the package's own code paths: factorization is
 re-derived by a plain trial-division loop, and the never-connect brute
 force compares exact integer powers directly, with no exponent-vector
 reasoning anywhere. Legs are rebuilt word by word with
-`itertools.accumulate`, sharing nothing with the prefix-sharing walk.
+`itertools.accumulate`, sharing nothing with the prefix-sharing walk,
+and a leg file's dict is written scalar by scalar, not through the
+streaming writer.
 An error message's echo is composed the plain way: the value's whole text
 by `format_scalar`, then the cut.
 """
@@ -242,6 +244,23 @@ def leg_reference(symbols) -> Leg:
     """One leg from scratch: P_k by itertools.accumulate, cap 1/max(1, P_1, ..., P_n)."""
     products = tuple(itertools.accumulate(symbols, operator.mul))
     return Leg(Word(tuple(symbols)), products, 1 / max((Fraction(1), *products)))
+
+
+def fan_to_dict(fan) -> dict:
+    """The dict a leg file encodes: slopes, depth and per-leg word plus t_max.
+
+    Every scalar is written by `format_scalar`, one symbol at a time, so
+    json.dumps(fan_to_dict(fan), indent=2) and a newline are the bytes
+    `save_fan` must write, and `fan_from_dict` reads the dict back.
+    """
+    return {
+        "relation": {"slopes": [format_scalar(s) for s in fan.relation.slopes]},
+        "depth": fan.depth,
+        "legs": [
+            {"word": [format_scalar(s) for s in leg.word.symbols], "t_max": format_scalar(leg.t_max)}
+            for leg in fan.legs
+        ],
+    }
 
 
 def membership_reference(point, relation) -> bool:

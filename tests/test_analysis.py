@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ from lelekfan import (
     verify_embedding,
 )
 from lelekfan import analysis
-from lelekfan.mahavier import _grow_legs, word_formatter
+from lelekfan.mahavier import _fan_json, _grow_legs
 from oracles import (
     best_climb_max_by_enumeration,
     deep_points_reference,
@@ -484,8 +485,10 @@ def test_density_sweep_over_epsilon_witness_is_domain_error(monkeypatch):
         density_sweep(points, epsilon, R, RHO, 200, Fraction(1, 100))
 
 
-def test_verify_embedding_reports_first_density_failure():
-    report = verify_embedding(R, RHO, depth=5, samples=20, seed=7, extension_budget=2)
+def test_verify_embedding_reports_first_density_failure(monkeypatch):
+    # The density checks read the climb budget when called.
+    monkeypatch.setattr(analysis, "DEFAULT_GREEDY_BUDGET", 2)
+    report = verify_embedding(R, RHO, depth=5, samples=20, seed=7)
     points = sample_points(enumerate_legs(F, 5), 20, 7)
     density = [c for c in report["checks"] if c["name"].startswith("density-epsilon-")]
     assert not report["pass"]
@@ -713,7 +716,7 @@ def _count_fraction_hashes(monkeypatch):
 def test_symbol_index_hashes_each_symbol_object_once(monkeypatch):
     # Under an equal but separately built relation no symbol of F's legs is
     # one of its slope objects; each distinct symbol object is still hashed
-    # at most once per lookup (word_formatter, angle_fractions and the
+    # at most once per lookup (the leg-file writer, angle_fractions and the
     # shared-leg lookup), besides the relation's own slopes, and every
     # output equals the one under the fan's own relation.
     f_fan = enumerate_legs(F, 5)
@@ -727,14 +730,13 @@ def test_symbol_index_hashes_each_symbol_object_once(monkeypatch):
         objects = {id(s) for fan in fans for leg in fan.legs for s in leg.word.symbols}
         return len(objects) + len(relation.slopes)
 
-    expected_words = [word_formatter(F)(leg.word) for leg in f_fan.legs]
+    expected_text = "".join(_fan_json({}, f_fan))
     expected_angles = {m: angle_fractions(f_fan, m) for m in ("cantor", "uniform")}
     expected_missing = list(analysis._legs_missing_from(f_fan, g_fan))
     assert expected_missing
 
     calls = _count_fraction_hashes(monkeypatch)
-    format_word = word_formatter(twin)
-    assert [format_word(leg.word) for leg in f_fan.legs] == expected_words
+    assert "".join(_fan_json({}, f_twin)) == expected_text
     assert calls[0] <= bound(twin, f_fan)
     for angle_map, expected in expected_angles.items():
         calls[0] = 0
@@ -1068,6 +1070,15 @@ def test_hausdorff_shape_and_grid_errors():
     # The grid is checked before either fan's legs.
     with pytest.raises(DomainError, match="grid must be a positive integer"):
         directed_hausdorff(enumerate_legs(F, 3), FanApprox(F, 3, ()), grid=0)
+    # Compared exactly: a grid past the float range would overflow the spacing.
+    fan = enumerate_legs(F, 2)
+    largest = int(sys.float_info.max)
+    assert sample_resolution(fan, largest) > 0
+    for grid in (largest + 1, 10**400):
+        with pytest.raises(DomainError, match="no larger than the largest float"):
+            sample_resolution(fan, grid)
+        with pytest.raises(DomainError, match="no larger than the largest float"):
+            hausdorff(fan, fan, grid=grid)
 
 
 def test_verify_embedding_passes():

@@ -465,6 +465,15 @@ def test_hausdorff_outside_the_float_range_exits_3(capsys, argv):
     assert "overflows a float or underflows to 0" in captured.err
 
 
+def test_hausdorff_grid_past_the_float_range_exits_3(capsys):
+    # A 401-digit grid would overflow the spacing's float division: it is
+    # refused before any fan is measured.
+    assert main(["hausdorff", "--depth", "2", "--grid", "1" + "0" * 400]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no larger than the largest float" in captured.err and "Traceback" not in captured.err
+
+
 def test_package_runs_without_numpy():
     # Neither the import nor a Hausdorff enclosure loads numpy or dataclasses.
     src = os.path.dirname(os.path.dirname(lelekfan.__file__))
@@ -496,8 +505,13 @@ def test_render_from_file(capsys, tmp_path):
     "option, value, message",
     [("--stroke-width", width, "stroke width") for width in ("nan", "inf", "-inf", "0")]
     # 400 nines: an int past the float range, refused before any drawing.
-    + [(option, "9" * 400, "width and height") for option in ("--width", "--height")],
-    ids=["nan", "inf", "-inf", "0", "width-400-digits", "height-400-digits"],
+    + [(option, "9" * 400, "width and height") for option in ("--width", "--height")]
+    # Sweeps whose half-angle sine underflows to 0, the divisor of the picture's width.
+    + [("--sweep", sweep, "too narrow to draw") for sweep in ("5e-324", "2e-322")],
+    ids=[
+        "nan", "inf", "-inf", "0", "width-400-digits", "height-400-digits",
+        "sweep-5e-324", "sweep-2e-322",
+    ],
 )
 def test_render_bad_stroke_width_exits_3(capsys, tmp_path, option, value, message):
     legs = tmp_path / "legs.json"

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import enumerate_legs_reference, leg_reference, membership_reference
+from oracles import enumerate_legs_reference, fan_to_dict, leg_reference, membership_reference
 
 from lelekfan import (
     DENSITY_EPSILONS,
@@ -26,7 +26,6 @@ from lelekfan import (
     enumerate_legs,
     fan_from_dict,
     fan_relation,
-    fan_to_dict,
     is_degenerating,
     leg_point,
     line_pair_relation,
@@ -38,7 +37,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
-from lelekfan.mahavier import _fan_json, _grow_legs, _symbol_values, word_formatter
+from lelekfan.mahavier import _fan_json, _grow_legs, _symbol_values
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -706,7 +705,7 @@ def test_tampered_t_max_after_a_shared_prefix_keeps_its_error_order():
     )
 
 
-def test_word_formatter_finds_equal_but_distinct_symbols():
+def test_fan_json_finds_equal_but_distinct_symbols():
     fan = enumerate_legs(Q, 3)
     # the same legs, every symbol an equal but distinct Fraction object
     copies = FanApprox(
@@ -721,10 +720,10 @@ def test_word_formatter_finds_equal_but_distinct_symbols():
         s is not t for a, b in zip(fan.legs, copies.legs)
         for s, t in zip(a.word.symbols, b.word.symbols)
     )
-    format_word = word_formatter(Q)
-    for leg, copy in zip(fan.legs, copies.legs):
-        assert format_word(copy.word) == format_word(leg.word)
-    assert fan_to_dict(copies) == fan_to_dict(fan)
+    # Each copy is found by value among Q's slopes and written as that slope.
+    head = {"depth": 3}
+    expected = json.dumps({**head, "legs": fan_to_dict(fan)["legs"]}, indent=2) + "\n"
+    assert "".join(_fan_json(head, copies)) == "".join(_fan_json(head, fan)) == expected
 
 
 def test_symbol_values_memoises_nothing_when_missing_raises():

@@ -147,6 +147,9 @@ LEG = build_leg(Word((R,)))
         (lambda: RenderConfig(width=math.nan), DomainError, "width and height must be positive and finite"),
         (lambda: RenderConfig(height=math.inf), DomainError, "width and height must be positive and finite"),
         (lambda: RenderConfig(sweep=180), DomainError, r"sweep must lie in \(0, 180\) degrees, got 180"),
+        # The half-angle sine underflows to 0: render_fan would divide by it.
+        (lambda: RenderConfig(sweep=5e-324), DomainError, "sweep 5e-324 degrees is too narrow to draw"),
+        (lambda: RenderConfig(sweep=2e-322), DomainError, "sweep 2e-322 degrees is too narrow to draw"),
         (lambda: RenderConfig(angle_map="polar"), DomainError, "unknown angle map: 'polar'"),
         (
             lambda: RenderConfig(stroke_width=math.nan),
