@@ -25,10 +25,9 @@ from .mahavier import (
     FanApprox,
     PointPrefix,
     RelationSpec,
-    _grow_legs,
+    _drawn,
     _symbol_values,
     cantor_relation,
-    draw_word,
     enumerate_legs,
     fan_relation,
     leg_point,
@@ -338,16 +337,11 @@ def sample_deep_points(relation: RelationSpec, depth: int, count: int, seed: int
     """Deterministic depth-n point sample: per draw a uniform word, then a uniform grid parameter.
 
     For depths where enumeration is infeasible. The words go through one
-    `_grow_legs` walk, which draws word i only when leg i is pulled, so
-    the draws stay in the order word i, then parameter i.
+    `_drawn` walk, which draws word i only when leg i is pulled, so the
+    draws stay in the order word i, then parameter i.
     """
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
-    if count < 0:
-        raise DomainError("count must be non-negative")
     rng = random.Random(seed)
-    words = (draw_word(rng, relation, depth).symbols for _ in range(count))
-    return [_point_on(leg, rng) for leg in _grow_legs(words)]
+    return [_point_on(leg, rng) for leg in _drawn(rng, relation, depth, count)]
 
 
 def density_sweep(
@@ -667,22 +661,26 @@ def verify_embedding(
     (c) distinct words yield distinct prefix-product sequences (the first
     clash in enumeration order is reported), (d) sampled points admit
     density witnesses at tolerance DEFAULT_DELTA for every epsilon of the
-    schedule: the part of DENSITY_EPSILONS whose kept prefix of k0
-    coordinates fits in depth + 1, each climb within DEFAULT_GREEDY_BUDGET
-    steps. Returns a report dict with one pass/fail entry per check and a
-    first counterexample where applicable.
-    Requires samples >= 1 and depth >= 3, so the density checks never pass
+    schedule: the part of DENSITY_EPSILONS whose k0 (2^-k0 <= epsilon) is
+    at most depth, each climb within DEFAULT_GREEDY_BUDGET steps. A point's
+    depth + 1 coordinates then hold the k0 kept ones and at least one
+    more, so the tail 2^-(depth+1) leaves room under epsilon for the seed
+    of the origin's witness; with k0 = depth + 1 an epsilon of 2^-k0 would
+    have none, and a sampled origin would raise. Returns a report dict
+    with one pass/fail entry per check and a first counterexample where
+    applicable.
+    Requires samples >= 1 and depth >= 4, so the density checks never pass
     on no points and the schedule is never empty.
     """
     if samples < 1:
         raise DomainError(f"samples must be a positive integer, got {_echo(samples)}")
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
-    schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth + 1]
+    schedule = [eps for eps in DENSITY_EPSILONS if _min_k0(eps) <= depth]
     if not schedule:
         raise DomainError(
             f"depth {_echo(depth)} schedules no density check; "
-            "depth 3 is the smallest depth that schedules epsilon = 1/16"
+            "depth 4 is the smallest depth that schedules epsilon = 1/16"
         )
     fan_full = enumerate_legs(fan_relation(r, rho), depth, budget)
     fan_sub = enumerate_legs(cantor_relation(r), depth, budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import analysis, mahavier, render
@@ -71,13 +72,18 @@ def _require_count(name: str, count: int) -> None:
         raise DomainError(f"{name} must be a positive integer, got {_echo(count)}")
 
 
-def _build_fan(args, kind: str) -> mahavier.FanApprox:
-    relation = _relation(args, kind)
-    if args.sample is not None:
-        _require_count("--sample", args.sample)
-        legs = mahavier.sample_legs(relation, args.depth, args.sample, args.seed)
-        return mahavier.FanApprox(relation, args.depth, legs)
-    return mahavier.enumerate_legs(relation, args.depth, args.budget)
+def _walker(args):
+    """The relation `--relation` names and a function that starts a new walk over its legs.
+
+    Each walk enumerates every leg within `--budget`, or draws `--sample`
+    words under `--seed`: the same legs in the same order every time. It
+    refuses its budget as it starts, before the caller writes anything.
+    """
+    relation = _relation(args, args.relation)
+    if args.sample is None:
+        return relation, lambda: mahavier._walk(relation, args.depth, args.budget)
+    _require_count("--sample", args.sample)
+    return relation, lambda: mahavier._drawn(random.Random(args.seed), relation, args.depth, args.sample)
 
 
 def cmd_check_nc(args) -> int:
@@ -87,14 +93,14 @@ def cmd_check_nc(args) -> int:
 
 
 def cmd_build(args) -> int:
-    fan = _build_fan(args, args.relation)
-    mahavier.save_fan(fan, args.out)
+    relation, walk = _walker(args)
+    count = mahavier._save(args.out, relation, args.depth, walk())
     _emit(
         {
             "out": args.out,
             "relation": args.relation,
             "depth": args.depth,
-            "legs": len(fan.legs),
+            "legs": count,
         }
     )
     return EXIT_OK
@@ -134,8 +140,10 @@ def cmd_endpoints(args) -> int:
         raise DomainError("degeneracy threshold must be non-negative")
     if args.infile:
         fan = mahavier.load_fan(args.infile)
+        relation, depth, walk = fan.relation, fan.depth, lambda: fan.legs
     else:
-        fan = _build_fan(args, args.relation)
+        # Two walks, one to count and one to write, so no leg is held.
+        (relation, walk), depth = _walker(args), args.depth
 
     # Every tip is an exact end-point, so it is not built or classified:
     # `_grow_legs` sets t_max = 1/max(1, P_1, ..., P_n), and `fan_from_dict`
@@ -157,17 +165,18 @@ def cmd_endpoints(args) -> int:
             "degenerating": mahavier.is_degenerating(leg, threshold),
         }
 
+    flags = [mahavier.is_degenerating(leg, threshold) for leg in walk()]
     head = {
-        "depth": fan.depth,
+        "depth": depth,
         "delta": format_scalar(delta),
         "degeneracy_threshold": format_scalar(threshold),
-        "total": len(fan.legs),
-        analysis.EXACT: len(fan.legs),
+        "total": len(flags),
+        analysis.EXACT: len(flags),
         analysis.APPROXIMATE: 0,
         analysis.NOT_CERTIFIED: 0,
-        "degenerating": sum(mahavier.is_degenerating(leg, threshold) for leg in fan.legs),
+        "degenerating": sum(flags),
     }
-    _write(list(mahavier._fan_json(head, fan, fields)), args.report)
+    _write(list(mahavier._fan_json(head, relation, walk(), fields)), args.report)
     return EXIT_OK
 
 
@@ -211,8 +220,8 @@ def cmd_embed_check(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    fan_a = _build_fan(args, args.a)
-    fan_b = _build_fan(args, args.b)
+    fan_a = mahavier.enumerate_legs(_relation(args, args.a), args.depth, args.budget)
+    fan_b = mahavier.enumerate_legs(_relation(args, args.b), args.depth, args.budget)
     lower, upper = analysis.hausdorff(fan_a, fan_b, args.grid)
     resolution = max(
         analysis.sample_resolution(fan_a, args.grid),
@@ -258,7 +267,7 @@ def _add_slope_args(parser, with_depth=True, depth_default=6):
 
 
 def _add_fan_args(parser):
-    """The slope options and the four options `_build_fan` reads to make a fan."""
+    """The slope options and the four options `_walker` reads to walk a fan's legs."""
     _add_slope_args(parser)
     parser.add_argument("--relation", choices=RELATIONS, default="F")
     parser.add_argument("--sample", type=int, default=None, metavar="M", help="sample M words instead of enumerating")
@@ -325,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", choices=RELATIONS, default="G")
     p.add_argument("--grid", type=int, default=analysis.DEFAULT_GRID)
     p.add_argument("--budget", type=int, default=mahavier.DEFAULT_ENUM_BUDGET)
-    p.set_defaults(func=cmd_hausdorff, sample=None)
+    p.set_defaults(func=cmd_hausdorff)
 
     p = sub.add_parser("render", help="render a leg file as SVG")
     p.add_argument("--in", dest="infile", required=True, help="leg file to read")

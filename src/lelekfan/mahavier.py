@@ -212,9 +212,9 @@ def _grow_legs(words):
     key is kept alive, as every product and cap is, so no id is reused.
 
     Every symbol tuple must be a tuple of exact Fractions. Every caller
-    passes one: `itertools.product` over a relation's slopes, `draw_word`
-    and `build_leg` (a Word's symbols) and `fan_from_dict` (the
-    relation's own slope objects). So Word and Leg are built with
+    passes one: `_walk` and `_drawn` (tuples of a relation's slopes),
+    `build_leg` (a Word's symbols) and `fan_from_dict` (the relation's
+    own slope objects). So Word and Leg are built with
     `tuple.__new__`, which skips `Word`'s conversion check.
     """
     new = tuple.__new__
@@ -277,17 +277,16 @@ def leg_point(leg: Leg, t) -> PointPrefix:
     return PointPrefix((t,) + tuple(p * t for p in leg.prefix_products))
 
 
-def enumerate_legs(
-    relation: RelationSpec, depth: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> FanApprox:
-    """All legs of the given depth, one per word, in lexicographic slope order.
+def _walk(relation: RelationSpec, depth: int, budget: int):
+    """A new prefix walk over every leg of the given depth, in lexicographic slope order.
 
     Words come from itertools.product over the slopes and go through one
     `_grow_legs` walk, as in `fan_from_dict`: each word resumes from the
     word before it, so a leg costs about one step. Distinct words give
     distinct legs: slopes are distinct and positive, so at the first
-    symbol where two words differ their prefix products differ too. Raises ResourceError when
-    |slopes|^depth exceeds the budget; use sample_legs for such depths.
+    symbol where two words differ their prefix products differ too. Raises
+    ResourceError when |slopes|^depth exceeds the budget, before the walk
+    starts, so a refused walk builds and writes nothing.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
@@ -302,28 +301,40 @@ def enumerate_legs(
             f"{count}^{_echo(depth)}{total} legs exceeds the budget "
             f"{_echo(budget)}; use sampling instead (sample_legs / --sample)"
         )
-    words = itertools.product(relation.slopes, repeat=depth)
-    return FanApprox(relation, depth, tuple(_grow_legs(words)))
+    return _grow_legs(itertools.product(relation.slopes, repeat=depth))
 
 
-def draw_word(rng: random.Random, relation: RelationSpec, depth: int) -> Word:
-    """One word drawn uniformly over slopes^depth: `depth` calls of rng.randrange."""
-    slopes = relation.slopes
-    return Word(tuple(slopes[rng.randrange(len(slopes))] for _ in range(depth)))
+def enumerate_legs(relation: RelationSpec, depth: int, budget: int = DEFAULT_ENUM_BUDGET) -> FanApprox:
+    """All legs of the given depth, one per word, in lexicographic slope order.
+
+    The legs of one `_walk`; use sample_legs for depths past the budget.
+    """
+    return FanApprox(relation, depth, tuple(_walk(relation, depth, budget)))
 
 
-def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tuple[Leg, ...]:
-    """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed.
+def _drawn(rng: random.Random, relation: RelationSpec, depth: int, count: int):
+    """A new prefix walk over `count` words drawn uniformly i.i.d. over slopes^depth.
 
-    All the drawn words go through one `_grow_legs` walk, so the legs
-    share their product and t_max objects.
+    Each word takes `depth` calls of rng.choice and is drawn only when its
+    leg is pulled, so a caller that draws more from `rng` between legs
+    keeps the order word i, then its own draws for leg i. The depth and
+    count are checked before the walk starts.
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
     if count < 0:
         raise DomainError("count must be non-negative")
-    rng = random.Random(seed)
-    return tuple(_grow_legs(draw_word(rng, relation, depth).symbols for _ in range(count)))
+    words = (tuple(rng.choice(relation.slopes) for _ in range(depth)) for _ in range(count))
+    return _grow_legs(words)
+
+
+def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tuple[Leg, ...]:
+    """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed.
+
+    All the drawn words go through one `_drawn` walk, so the legs share
+    their product and t_max objects.
+    """
+    return tuple(_drawn(random.Random(seed), relation, depth, count))
 
 
 def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction]:
@@ -472,16 +483,21 @@ def fan_from_dict(data: dict) -> FanApprox:
     return FanApprox(relation, depth, tuple(legs))
 
 
-def _fan_json(fields: dict, fan: FanApprox, more=None):
+def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
     """A fan document's text in pieces: the head, one piece per leg, the close.
 
     Joined, the pieces are json.dumps({**fields, "legs": legs}, indent=2)
     and a newline, where each leg is {"word": ..., "t_max": ...} formatted
     by `format_scalar`, followed by the fields of `more(leg)` when `more`
     is given. This is the only code that lays out a leg file or an
-    endpoint report. Each slope's indented line is formatted once, through
-    `_symbol_values`, and each distinct t_max object once: the fan's leg
-    tuple keeps every t_max alive, so no memoised id is reused.
+    endpoint report. `legs` is any iterable of legs over the relation's
+    slopes, read once, so a walk can be written as it runs without holding
+    its legs. Each slope's indented line is formatted once, through
+    `_symbol_values`, and each distinct t_max object once, memoised by id.
+    No memoised id is reused while legs are read: a held collection keeps
+    every t_max alive, and so does a stream from one `_grow_legs` walk,
+    whose `values` table holds every t_max it made until the walk is
+    exhausted, even when each leg is dropped as soon as it is written.
     """
     t_max_texts: dict[int, str] = {}
     field_texts: dict[tuple, str] = {}
@@ -505,11 +521,11 @@ def _fan_json(fields: dict, fan: FanApprox, more=None):
                 field_texts[key, type(value), value] = text
         return text
 
-    items = _symbol_values(fan.relation, [word_item(s) for s in fan.relation.slopes], word_item)
+    items = _symbol_values(relation, [word_item(s) for s in relation.slopes], word_item)
     # The head: the text of the document with no legs, up to its "[]\n}".
     yield json.dumps({**fields, "legs": []}, indent=2)[: -len("[]\n}")]
     opening = first = "[\n    {"
-    for leg in fan.legs:
+    for leg in legs:
         t_max = leg.t_max
         t_text = t_max_texts.get(id(t_max))
         if t_text is None:
@@ -522,16 +538,24 @@ def _fan_json(fields: dict, fan: FanApprox, more=None):
     yield "[]\n}\n" if opening is first else "\n  ]\n}\n"
 
 
-def save_fan(fan: FanApprox, path) -> None:
-    """Write a fan's JSON form, indented by 2, with a final newline.
+def _save(path, relation: RelationSpec, depth: int, legs) -> int:
+    """Write the leg file of `legs`, read once, to `path`; return how many legs it holds.
 
     The bytes are those of json.dumps(data, indent=2) and a newline, for
     the dict data that `fan_from_dict` reads, but `_fan_json` writes the
-    legs one at a time, so neither the dict nor the whole text is built.
+    legs one at a time, so neither the dict nor the whole text is built,
+    and a stream of legs is never held.
     """
-    slopes = [format_scalar(s) for s in fan.relation.slopes]
+    slopes = [format_scalar(s) for s in relation.slopes]
+    pieces = _fan_json({"relation": {"slopes": slopes}, "depth": depth}, relation, legs)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_fan_json({"relation": {"slopes": slopes}, "depth": fan.depth}, fan))
+        # The head and the close enclose one piece per leg.
+        return sum(1 for _ in map(handle.write, pieces)) - 2
+
+
+def save_fan(fan: FanApprox, path) -> None:
+    """Write a fan's JSON form, indented by 2, with a final newline, as `_save` does."""
+    _save(path, fan.relation, fan.depth, fan.legs)
 
 
 def load_fan(path) -> FanApprox:

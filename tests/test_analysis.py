@@ -730,13 +730,13 @@ def test_symbol_index_hashes_each_symbol_object_once(monkeypatch):
         objects = {id(s) for fan in fans for leg in fan.legs for s in leg.word.symbols}
         return len(objects) + len(relation.slopes)
 
-    expected_text = "".join(_fan_json({}, f_fan))
+    expected_text = "".join(_fan_json({}, f_fan.relation, f_fan.legs))
     expected_angles = {m: angle_fractions(f_fan, m) for m in ("cantor", "uniform")}
     expected_missing = list(analysis._legs_missing_from(f_fan, g_fan))
     assert expected_missing
 
     calls = _count_fraction_hashes(monkeypatch)
-    assert "".join(_fan_json({}, f_twin)) == expected_text
+    assert "".join(_fan_json({}, f_twin.relation, f_twin.legs)) == expected_text
     assert calls[0] <= bound(twin, f_fan)
     for angle_map, expected in expected_angles.items():
         calls[0] = 0
@@ -1088,21 +1088,34 @@ def test_verify_embedding_passes():
     assert names[:3] == ["g-legs-are-f-legs", "g-legs-full-length", "leg-injectivity"]
     assert any(name.startswith("density-epsilon-") for name in names)
     assert all(c["counterexample"] is None for c in report["checks"])
-    # 1/16 needs 4 kept coordinates and 1/64 needs 6; 1/256 needs 8, beyond depth 5
-    assert report["epsilons"] == ["1/16", "1/64"]
+    # 1/16 keeps 4 coordinates; 1/64 keeps 6, more than depth 5 allows
+    assert report["epsilons"] == ["1/16"]
 
 
-def test_verify_embedding_rejects_depth_below_3():
-    # Below depth 3 no density epsilon is scheduled, and the report would
+def test_verify_embedding_rejects_depth_below_4():
+    # Below depth 4 no density epsilon is scheduled, and the report would
     # pass on its structural checks alone.
-    for depth in (0, 1, 2):
+    for depth in (0, 1, 2, 3):
         with pytest.raises(
             DomainError,
             match=f"depth {depth} schedules no density check; "
-            "depth 3 is the smallest depth that schedules epsilon = 1/16",
+            "depth 4 is the smallest depth that schedules epsilon = 1/16",
         ):
             verify_embedding(R, RHO, depth=depth, samples=5, seed=1)
-    assert verify_embedding(R, RHO, depth=3, samples=5, seed=1)["epsilons"] == ["1/16"]
+    # An epsilon whose k0 (2^-k0 <= epsilon) is at most the depth.
+    for depth, epsilons in ((4, ["1/16"]), (5, ["1/16"]), (6, ["1/16", "1/64"]), (8, ["1/16", "1/64", "1/256"])):
+        assert verify_embedding(R, RHO, depth=depth, samples=5, seed=1)["epsilons"] == epsilons
+
+
+@pytest.mark.parametrize("depth, seed", [(5, 0), (5, 6), (5, 7), (7, 11)])
+def test_verify_embedding_certifies_a_sampled_origin(depth, seed):
+    # Each sample holds the origin (t = 0), whose witness keeps k0 seed
+    # coordinates. When k0 was depth + 1, nothing was left beside the tail
+    # 2^-k0 = epsilon, and the witness bound exceeded epsilon: a DomainError.
+    report = verify_embedding(R, RHO, depth=depth, samples=200, seed=seed)
+    origin = PointPrefix((Fraction(0),) * (depth + 1))
+    assert origin in sample_points(enumerate_legs(F, depth), 200, seed)
+    assert report["pass"]
 
 
 @pytest.mark.parametrize("samples", [0, -4])
@@ -1118,14 +1131,14 @@ def test_verify_embedding_rejects_dependent_pair():
 
 
 def _embedding_checks(monkeypatch, full_legs, sub_legs):
-    # verify_embedding on hand-built depth-3 fans; depth 3 schedules the
+    # verify_embedding on hand-built depth-4 fans; depth 4 schedules the
     # density epsilon 1/16 only, and the structural checks come first.
     fans = {
-        F: FanApprox(F, 3, tuple(full_legs)),
-        cantor_relation(R): FanApprox(cantor_relation(R), 3, tuple(sub_legs)),
+        F: FanApprox(F, 4, tuple(full_legs)),
+        cantor_relation(R): FanApprox(cantor_relation(R), 4, tuple(sub_legs)),
     }
     monkeypatch.setattr(analysis, "enumerate_legs", lambda relation, depth, budget: fans[relation])
-    report = verify_embedding(R, RHO, depth=3, samples=5, seed=3)
+    report = verify_embedding(R, RHO, depth=4, samples=5, seed=3)
     assert report["epsilons"] == ["1/16"]
     assert all(list(c) == ["name", "pass", "counterexample"] for c in report["checks"])
     return report["checks"]
@@ -1136,17 +1149,17 @@ def _passed(name):
 
 
 def test_verify_embedding_counterexamples(monkeypatch):
-    full = list(enumerate_legs(F, 3).legs)
-    sub = list(enumerate_legs(cantor_relation(R), 3).legs)
+    full = list(enumerate_legs(F, 4).legs)
+    sub = list(enumerate_legs(cantor_relation(R), 4).legs)
 
-    # The four G-words that start with 1 are missing from F; the first,
-    # (1, 1/2, 1/2), is reported.
+    # The eight G-words that start with 1 are missing from F; the first,
+    # (1, 1/2, 1/2, 1/2), is reported.
     missing = [leg for leg in full if leg.word.symbols[0] != 1]
     assert _embedding_checks(monkeypatch, missing, sub) == [
         {
             "name": "g-legs-are-f-legs",
             "pass": False,
-            "counterexample": {"word": ["1", "1/2", "1/2"]},
+            "counterexample": {"word": ["1", "1/2", "1/2", "1/2"]},
         },
         _passed("g-legs-full-length"),
         _passed("leg-injectivity"),
@@ -1166,7 +1179,7 @@ def test_verify_embedding_counterexamples(monkeypatch):
         {
             "name": "g-legs-full-length",
             "pass": False,
-            "counterexample": {"word": ["1/2", "1/2", "1"], "t_max": "1/2"},
+            "counterexample": {"word": ["1/2", "1/2", "1/2", "1"], "t_max": "1/2"},
         },
         _passed("leg-injectivity"),
         _passed("density-epsilon-1/16"),
@@ -1184,7 +1197,7 @@ def test_verify_embedding_counterexamples(monkeypatch):
         {
             "name": "leg-injectivity",
             "pass": False,
-            "counterexample": {"words": [["1/2", "1/2", "3"], ["1/2", "1", "3"]]},
+            "counterexample": {"words": [["1/2", "1/2", "1/2", "3"], ["1/2", "1/2", "1", "3"]]},
         },
         _passed("density-epsilon-1/16"),
     ]

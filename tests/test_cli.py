@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -407,7 +408,7 @@ def test_embed_check_small_run(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, data = run(
         capsys,
-        "embed-check", "--r", "1/2", "--rho", "3", "--depth", "3", "--samples", "20",
+        "embed-check", "--r", "1/2", "--rho", "3", "--depth", "4", "--samples", "20",
         "--seed", "7", "--report", str(report_path),
     )
     assert code == 0
@@ -698,14 +699,16 @@ def test_one_exception_type_per_exit_code(monkeypatch, capsys):
     "argv",
     [
         ["build", "--depth", "100000", "--out", "OUT"],
+        ["build", "--depth", "14", "--out", "OUT"],
         ["hausdorff", "--depth", "5000"],
         ["check-nc", "--r", "1/1" + "0" * 4999 + "1", "--rho", "3"],
     ],
-    ids=["build-depth-100000", "hausdorff-depth-5000", "check-nc-cofactor-5001-digits"],
+    ids=["build-depth-100000", "build-depth-14", "hausdorff-depth-5000", "check-nc-cofactor-5001-digits"],
 )
 def test_budget_refusals_are_quick_and_bounded(capsys, tmp_path, argv):
     # Neither |slopes|^depth nor a cofactor past the prime bound is printed
-    # whole: each would be past Python's 4300-digit int-to-str limit.
+    # whole: each would be past Python's 4300-digit int-to-str limit. A
+    # refused walk refuses before the leg file is opened, so none is left.
     out = tmp_path / "legs.json"
     argv = [str(out) if a == "OUT" else a for a in argv]
     start = time.perf_counter()
@@ -716,6 +719,24 @@ def test_budget_refusals_are_quick_and_bounded(capsys, tmp_path, argv):
     assert len(captured.err.encode()) < 1024
     assert captured.err.startswith("fan: budget exceeded: ")
     assert not out.exists()
+
+
+def test_build_streams_its_legs(capsys, tmp_path):
+    # `fan build` writes each leg as the walk makes it: its traced peak
+    # stays far below that of the fan it writes, held as a tuple.
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    relation = fan_relation(Fraction(1, 2), Fraction(3))
+    held = peak(lambda: enumerate_legs(relation, 9))
+    streamed = peak(lambda: main(["build", "--depth", "9", "--out", str(tmp_path / "F9.json")]))
+    assert json.loads(capsys.readouterr().out)["legs"] == 3**9
+    assert streamed < held / 4, (streamed, held)
 
 
 def test_build_budget_keeps_its_message(capsys, tmp_path):

@@ -37,7 +37,7 @@ from lelekfan import (
     truncated_metric,
 )
 from lelekfan.cli import main
-from lelekfan.mahavier import _fan_json, _grow_legs, _symbol_values
+from lelekfan.mahavier import _drawn, _fan_json, _grow_legs, _symbol_values, _walk
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -655,7 +655,7 @@ def test_fan_json_lays_out_extra_fields_as_json_dumps(name, fields):
     head = {"depth": fan.depth, "count": 0, "flagged": True, "nested": {"a": [1, {}]}}
     legs = [{**d, **choices[i % len(choices)]} for i, d in enumerate(fan_to_dict(fan)["legs"])]
     expected = json.dumps({**head, "legs": legs}, indent=2) + "\n"
-    assert "".join(_fan_json(head, fan, more)) == expected
+    assert "".join(_fan_json(head, fan.relation, fan.legs, more)) == expected
 
 
 @pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])
@@ -705,6 +705,43 @@ def test_tampered_t_max_after_a_shared_prefix_keeps_its_error_order():
     )
 
 
+def _one_id_per_value(legs):
+    """The legs, checking that no t_max id seen before returns with another value."""
+    seen = {}
+    for leg in legs:
+        value = (leg.t_max.numerator, leg.t_max.denominator)
+        assert seen.setdefault(id(leg.t_max), value) == value
+        yield leg
+
+
+@pytest.mark.parametrize(
+    "relation, depth, walk",
+    [
+        (F, 7, lambda: _walk(F, 7, 3**7)),
+        (Q, 4, lambda: _walk(Q, 4, 4**4)),
+        (G, 0, lambda: _walk(G, 0, 1)),
+        (F, 40, lambda: _drawn(random.Random(3), F, 40, 50)),
+        (F, 5, lambda: _drawn(random.Random(3), F, 5, 0)),
+    ],
+    ids=["F7", "Q4", "G0", "sampled", "no-legs"],
+)
+def test_fan_json_writes_a_one_shot_walk_as_its_tuple(relation, depth, walk):
+    # Streamed, each leg is dropped once its piece is made, and only the
+    # walk's value table keeps its t_max alive for the writer's memo by id.
+    head = {"depth": depth}
+
+    def more(leg):
+        return {"degenerating": is_degenerating(leg, Fraction(1, 9))}
+
+    legs = tuple(walk())
+    dumped = [{**d, **more(leg)} for d, leg in zip(fan_to_dict(FanApprox(relation, depth, legs))["legs"], legs)]
+    expected = json.dumps({**head, "legs": dumped}, indent=2) + "\n"
+    assert "".join(_fan_json(head, relation, legs, more)) == expected
+    del legs, dumped
+    gc.collect()
+    assert "".join(_fan_json(head, relation, _one_id_per_value(walk()), more)) == expected
+
+
 def test_fan_json_finds_equal_but_distinct_symbols():
     fan = enumerate_legs(Q, 3)
     # the same legs, every symbol an equal but distinct Fraction object
@@ -723,7 +760,7 @@ def test_fan_json_finds_equal_but_distinct_symbols():
     # Each copy is found by value among Q's slopes and written as that slope.
     head = {"depth": 3}
     expected = json.dumps({**head, "legs": fan_to_dict(fan)["legs"]}, indent=2) + "\n"
-    assert "".join(_fan_json(head, copies)) == "".join(_fan_json(head, fan)) == expected
+    assert "".join(_fan_json(head, Q, copies.legs)) == "".join(_fan_json(head, Q, fan.legs)) == expected
 
 
 def test_symbol_values_memoises_nothing_when_missing_raises():
