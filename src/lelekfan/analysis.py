@@ -18,6 +18,7 @@ import random
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from ._value import Value
 from .errors import DomainError, ResourceError
@@ -36,13 +37,14 @@ from .mahavier import (
     DEFAULT_ENUM_BUDGET,
 )
 from .nc import require_nc
-from .scalars import _echo, format_scalar
+from .scalars import _coprime_fraction, _echo, format_scalar
 
 DEFAULT_GREEDY_BUDGET = 10**4
 DEFAULT_ORACLE_BUDGET = 20
 DEFAULT_GRID = 8
 DEFAULT_DELTA = Fraction(1, 100)
 DENSITY_EPSILONS = (Fraction(1, 16), Fraction(1, 64), Fraction(1, 256))
+_ONE = Fraction(1)
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -104,40 +106,42 @@ def greedy_sequence(
     reaches it, so traces stay short. Requires 0 < x < 1, steps >= 0 and an
     NC pair.
 
-    Each step costs one Fraction multiply, by the chosen slope: the test
+    Each step runs on the integers of the current partial n/d: the test
     rho * current <= 1 and the running-maximum update are integer
-    cross-multiplications (denominators are positive), and only an update
-    of the running maximum is compared with `stop_when`. The trace's
-    running_max is the very object `start`, or the first partial that
-    reaches it; density_witness finds its index by identity.
+    cross-multiplications (denominators are positive), and the product
+    by the chosen slope sn/sd is (n//g1)*(sn//g2) / ((d//g2)*(sd//g1))
+    with g1 = gcd(n, sd) and g2 = gcd(sn, d), already in lowest terms, so
+    its Fraction is built without another gcd. Only an update of the
+    running maximum is compared with `stop_when`. The trace's running_max
+    is the very object `start`, or the first partial that reaches it;
+    density_witness finds its index by identity.
     """
     x = _climb_start(x, steps)
     r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
+    r_num, r_den = r.numerator, r.denominator
     rho_num, rho_den = rho.numerator, rho.denominator
     symbols: list[Fraction] = []
     partials: list[Fraction] = []
-    current = x
+    num, den = x.numerator, x.denominator
     running = x
-    run_num, run_den = x.numerator, x.denominator
+    run_num, run_den = num, den
     if stop_when is not None and running >= stop_when:
         steps = 0
     for _ in range(steps):
-        if current.numerator * rho_num <= current.denominator * rho_den:
-            current = current * rho
-            symbols.append(rho)
-            partials.append(current)
-            # r < 1 (require_nc), so only a rho-step can raise the running max,
-            # and only then can it reach stop_when.
-            num, den = current.numerator, current.denominator
-            if num * run_den > run_num * den:
-                running, run_num, run_den = current, num, den
-                if stop_when is not None and running >= stop_when:
-                    break
-        else:
-            symbols.append(r)
-            current = current * r
-            partials.append(current)
+        rising = num * rho_num <= den * rho_den
+        s, s_num, s_den = (rho, rho_num, rho_den) if rising else (r, r_num, r_den)
+        g1, g2 = gcd(num, s_den), gcd(s_num, den)
+        num, den = (num // g1) * (s_num // g2), (den // g2) * (s_den // g1)
+        current = _coprime_fraction(num, den)
+        symbols.append(s)
+        partials.append(current)
+        # r < 1 (require_nc), so only a rho-step can raise the running max,
+        # and only then can it reach stop_when.
+        if rising and num * run_den > run_num * den:
+            running, run_num, run_den = current, num, den
+            if stop_when is not None and running >= stop_when:
+                break
     return GreedyTrace(x, tuple(symbols), tuple(partials), running)
 
 
@@ -272,8 +276,14 @@ def density_witness(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    r, rho = Fraction(r), Fraction(rho)
     require_nc(r, rho)
-    if not membership(x, fan_relation(r, rho)):
+    # Built with tuple.__new__ here and below, which skips the checks of the
+    # public constructors: an NC pair's slopes r < 1 < rho are positive and
+    # distinct, x is a checked point, the seed lies in (0, 1) and every climb
+    # partial in (0, 1], so every coordinate lies in [0, 1].
+    new = tuple.__new__
+    if not membership(x, new(RelationSpec, ((r, _ONE, rho),))):
         raise DomainError("x is not a point of the three-slope relation")
     verdict = classify_endpoint(x, delta)
     if verdict.kind == EXACT:
@@ -295,11 +305,11 @@ def density_witness(
             seed = Fraction(1, 2)
         start, prefix = seed, (seed,) * k0
     trace = greedy_sequence(start, r, rho, extension_budget, stop_when=1 - delta)
-    e = PointPrefix(prefix + trace.partials)
+    e = new(PointPrefix, (prefix + trace.partials,))
 
     common = min(len(e.coords), len(x.coords))
     value, tail = truncated_metric(
-        PointPrefix(e.coords[:common]), PointPrefix(x.coords[:common])
+        new(PointPrefix, (e.coords[:common],)), new(PointPrefix, (x.coords[:common],))
     )
     bound = value + tail
     if bound > epsilon:
@@ -560,7 +570,14 @@ def _legs_missing_from(a: FanApprox, b: FanApprox):
             yield leg
 
 
-def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[float, float]:
+def _require_same_depth(a: FanApprox, b: FanApprox) -> None:
+    if a.depth != b.depth:
+        raise DomainError(f"depth mismatch: {_echo(a.depth)} vs {_echo(b.depth)}")
+
+
+def directed_hausdorff(
+    a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID, *, _resolution: float | None = None
+) -> tuple[float, float]:
     """Enclosure of sup over a's points of the distance to b, in the truncated metric.
 
     The sup is attained at the far ends of a's legs. Fans are star-shaped
@@ -610,12 +627,12 @@ def directed_hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> 
     spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
     lower bound equals the max over grid+1 samples of every leg of a
     measured against every leg of b; in floats the two agree bit for bit
-    on every fan the tests compare.
+    on every fan the tests compare. `_resolution` is for `_enclose` only:
+    that value of sample_resolution(a, grid), already computed and checked.
     """
-    if a.depth != b.depth:
-        raise DomainError(f"depth mismatch: {_echo(a.depth)} vs {_echo(b.depth)}")
+    _require_same_depth(a, b)
     # sample_resolution checks grid and a's legs first.
-    padding = 0.5 * sample_resolution(a, grid)
+    padding = 0.5 * (sample_resolution(a, grid) if _resolution is None else _resolution)
     _require_legs(b)
     unshared = tuple(_legs_missing_from(a, b))
     if not unshared:
@@ -636,9 +653,22 @@ def hausdorff(a: FanApprox, b: FanApprox, grid: int = DEFAULT_GRID) -> tuple[flo
     lower <= true distance <= upper up to float rounding, since lower is a
     float max-min not rounded down; the gap shrinks as the grid grows.
     """
-    lo_ab, up_ab = directed_hausdorff(a, b, grid)
-    lo_ba, up_ba = directed_hausdorff(b, a, grid)
-    return max(lo_ab, lo_ba), max(up_ab, up_ba)
+    lower, upper, _ = _enclose(a, b, grid)
+    return lower, upper
+
+
+def _enclose(a: FanApprox, b: FanApprox, grid: int) -> tuple[float, float, float]:
+    """hausdorff's (lower, upper) and the larger of the two fans' sample resolutions.
+
+    Each fan's resolution is computed once and pads its own direction. The
+    checks run in the order of directed_hausdorff(a, b): depth, grid, a's
+    legs, then b's.
+    """
+    _require_same_depth(a, b)
+    res_a, res_b = sample_resolution(a, grid), sample_resolution(b, grid)
+    lo_ab, up_ab = directed_hausdorff(a, b, grid, _resolution=res_a)
+    lo_ba, up_ba = directed_hausdorff(b, a, grid, _resolution=res_b)
+    return max(lo_ab, lo_ba), max(up_ab, up_ba), max(res_a, res_b)
 
 
 def _check(name: str, counterexample) -> dict:

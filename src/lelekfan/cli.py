@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import stat
 import sys
 
 from . import analysis, mahavier, render
@@ -50,12 +52,27 @@ def _emit(data: dict, path: str | None = None) -> None:
 
 
 def _write(pieces, path: str | None) -> None:
-    """Write the text pieces, in order, to the report file at `path` if given, then to stdout."""
-    # The report file first: when it cannot be written, stdout stays empty.
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
-    sys.stdout.writelines(pieces)
+    """Write the text pieces, in order, as they come, holding none of them.
+
+    Without `path` they go straight to stdout. With it they go to that
+    report file first, which is then copied to stdout: when the file cannot
+    be written, stdout stays empty. A path that is no regular file (such
+    as /dev/null or a pipe) cannot be read back, so each piece goes to it
+    and then to stdout.
+    """
+    if not path:
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w+", encoding="utf-8") as handle:
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            for piece in pieces:
+                handle.write(piece)
+                sys.stdout.write(piece)
+            return
+        handle.writelines(pieces)
+        handle.seek(0)
+        while chunk := handle.read(1 << 16):
+            sys.stdout.write(chunk)
 
 
 def _relation(args, kind: str) -> mahavier.RelationSpec:
@@ -176,7 +193,7 @@ def cmd_endpoints(args) -> int:
         analysis.NOT_CERTIFIED: 0,
         "degenerating": sum(flags),
     }
-    _write(list(mahavier._fan_json(head, relation, walk(), fields)), args.report)
+    _write(mahavier._fan_json(head, relation, walk(), fields), args.report)
     return EXIT_OK
 
 
@@ -185,6 +202,21 @@ def cmd_density(args) -> int:
     relation = _relation(args, "F")
     epsilon = parse_scalar(args.epsilon)
     delta = parse_scalar(args.delta)
+    if epsilon <= 0:
+        raise DomainError("epsilon must be positive")
+    # A witness keeps the first k0 coordinates of its point. The origin's
+    # replaces them with seed coordinates, and their distance fits under
+    # epsilon only when at least one more coordinate follows, so every
+    # sampled point is certifiable exactly when k0 <= depth (as in
+    # verify_embedding's schedule).
+    k0 = analysis._min_k0(epsilon)
+    if k0 > args.depth:
+        raise DomainError(
+            f"a prefix of length {args.depth + 1} cannot certify epsilon = "
+            f"{_echo(epsilon)} at every point: a witness keeps k0 = {k0} "
+            "coordinates (the least k0 with 2^-k0 <= epsilon) and needs one more; "
+            f"use --depth {k0} or more"
+        )
     points = analysis.sample_deep_points(relation, args.depth, args.samples, args.seed)
     failures, max_bound, worst_delta = analysis.density_sweep(
         points, epsilon, args.r, args.rho, args.budget, delta
@@ -222,11 +254,7 @@ def cmd_embed_check(args) -> int:
 def cmd_hausdorff(args) -> int:
     fan_a = mahavier.enumerate_legs(_relation(args, args.a), args.depth, args.budget)
     fan_b = mahavier.enumerate_legs(_relation(args, args.b), args.depth, args.budget)
-    lower, upper = analysis.hausdorff(fan_a, fan_b, args.grid)
-    resolution = max(
-        analysis.sample_resolution(fan_a, args.grid),
-        analysis.sample_resolution(fan_b, args.grid),
-    )
+    lower, upper, resolution = analysis._enclose(fan_a, fan_b, args.grid)
     _emit(
         {
             "relation_a": args.a,

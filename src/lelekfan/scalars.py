@@ -15,6 +15,7 @@ and 3.10.7).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from decimal import Decimal
@@ -112,6 +113,22 @@ def format_scalar(q: Fraction) -> str:
     return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime integers n and d > 0, built without a gcd.
+
+    Fraction(n, d) divides both by gcd(n, d) even when it is 1, and that
+    gcd costs about the square of their size; a caller that already has
+    lowest terms (a product reduced by two small gcds) skips it. The
+    object is what Fraction._from_coprime_ints builds on Python 3.12 and
+    later; every supported version keeps a Fraction's value in the slots
+    `_numerator` and `_denominator`.
+    """
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 # Most odd numbers in one sieve segment. Each segment's buffers stay under
 # glibc's 128 KiB mmap threshold: freeing a larger block raises that
 # threshold, and the process then keeps more freed memory for the rest of
@@ -166,8 +183,9 @@ def _prime_gaps(limit: int) -> bytes:
     return gaps
 
 
-def _trial_division(n: int) -> dict[int, int]:
-    exponents: dict[int, int] = {}
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a positive integer n, in increasing prime order."""
+    pairs = []
     gaps, sieved = _primes
     if n > sieved * sieved:
         gaps = _prime_gaps(isqrt(n))
@@ -182,7 +200,7 @@ def _trial_division(n: int) -> dict[int, int]:
             while n % p == 0:
                 n //= p
                 e += 1
-            exponents[p] = e
+            pairs.append((p, e))
     if n > 1:
         # Every prime up to min(sqrt(n), DEFAULT_PRIME_BOUND) is divided out,
         # so a leftover within the bound is prime; past it, n has a factor
@@ -191,8 +209,22 @@ def _trial_division(n: int) -> dict[int, int]:
             raise ResourceError(
                 f"factor {_echo(n)} exceeds the prime bound {DEFAULT_PRIME_BOUND}"
             )
-        exponents[n] = 1
-    return exponents
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+# Integers below this have their factorizations memoised, at most
+# _FACTOR_CACHE_SIZE of them, least recently used first out; a larger one is
+# factored again on every call, so one huge input cannot pin memory. A
+# refusal raises and is never cached. Entries are tuples, and `factor` builds
+# a new dict from them on every call, so no caller can change a cached entry.
+_CACHED_BELOW = 1 << 64
+_FACTOR_CACHE_SIZE = 1024
+_cached_division = functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)(_trial_division)
+
+
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    return _cached_division(n) if n < _CACHED_BELOW else _trial_division(n)
 
 
 def factor(q: Fraction) -> dict[int, int]:
@@ -202,16 +234,17 @@ def factor(q: Fraction) -> dict[int, int]:
     rational 1. Numerator and denominator are coprime, so their prime
     supports never overlap. Each is factored by trial division over a
     table of the primes up to DEFAULT_PRIME_BOUND (10**6), sieved on first
-    use only as far as the inputs need. The numerator's primes come first,
-    then the denominator's, each in increasing order. Raises ResourceError,
-    naming the leftover cofactor, when a prime factor exceeds the bound.
+    use only as far as the inputs need, and remembered when it is below
+    2**64. The numerator's primes come first, then the denominator's, each
+    in increasing order. Raises ResourceError, naming the leftover
+    cofactor, when a prime factor exceeds the bound.
     """
     if type(q) is not Fraction:
         q = Fraction(q)
     numerator, denominator = q.numerator, q.denominator
     if numerator <= 0:
         raise DomainError(f"factor requires a positive rational, got {_echo(q)}")
-    exponents = _trial_division(numerator)
-    for p, e in _trial_division(denominator).items():
+    exponents = dict(_prime_powers(numerator))
+    for p, e in _prime_powers(denominator):
         exponents[p] = -e
     return exponents

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lelekfan import Leg, Word, format_scalar
+from lelekfan import Leg, PointPrefix, Word, classify_endpoint, fan_relation, format_scalar
 
 
 def trial_factor_int(n: int) -> dict[int, int]:
@@ -269,6 +269,33 @@ def membership_reference(point, relation) -> bool:
     return all(
         y == 0 if x == 0 else y / x in relation.slopes for x, y in zip(coords, coords[1:])
     )
+
+
+def density_witness_reference(x, epsilon: Fraction, r: Fraction, rho: Fraction, budget: int, delta):
+    """(e, bound, verdict) of a density witness as its definition states, with the public constructors.
+
+    The point is checked against `fan_relation(r, rho)` by definition, the
+    witness is a checked `PointPrefix` of x's first k0 coordinates (a seed
+    of epsilon * 2^-(k0+2), or 1/2, repeated from the origin) and a plain
+    greedy climb, its bound is the metric summed term by term plus the tail
+    2^-common, and its verdict is a full `classify_endpoint` scan.
+    """
+    assert membership_reference(x, fan_relation(r, rho))
+    if max(x.coords) == 1:
+        return x, Fraction(0), classify_endpoint(x, delta)
+    k0 = next(k for k in itertools.count(1) if Fraction(1, 2**k) <= epsilon)
+    prefix = x.coords[:k0]
+    if prefix[-1] == 0:
+        seed = epsilon / 2 ** (k0 + 2)
+        prefix = (seed if seed < 1 else Fraction(1, 2),) * k0
+    _, partials, _ = greedy_reference(prefix[-1], r, rho, budget, stop_when=1 - delta)
+    e = PointPrefix(prefix + partials)
+    common = min(len(e.coords), len(x.coords))
+    bound = sum(
+        (abs(a - b) / 2 ** (k + 1) for k, (a, b) in enumerate(zip(e.coords[:common], x.coords))),
+        Fraction(1, 2**common),
+    )
+    return e, bound, classify_endpoint(e, delta)
 
 
 def enumerate_legs_reference(relation, depth: int) -> tuple:

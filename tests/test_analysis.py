@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 import time
@@ -57,6 +58,7 @@ from lelekfan.mahavier import _fan_json, _grow_legs
 from oracles import (
     best_climb_max_by_enumeration,
     deep_points_reference,
+    density_witness_reference,
     greedy_reference,
     hausdorff_all_samples_float,
     hausdorff_max_min_exact,
@@ -112,6 +114,17 @@ def test_greedy_partials_stay_in_unit_interval():
         trace = greedy_sequence(x, R, RHO, 12)
         assert all(0 < p <= 1 for p in trace.partials)
         assert trace.running_max == max((x, *trace.partials))
+
+
+def test_greedy_partials_are_fractions_in_lowest_terms():
+    # Partials are built from their reduced integers without another gcd.
+    for r, rho in ((R, RHO), (Fraction(5, 7), Fraction(11, 4))):
+        trace = greedy_sequence(Fraction(123457, 10**6), r, rho, 400)
+        assert trace.symbols.count(rho) > 100
+        for p in trace.partials:
+            n, d = p.numerator, p.denominator
+            assert type(p) is Fraction and d > 0 and math.gcd(n, d) == 1
+            assert p == Fraction(n, d) and hash(p) == hash(Fraction(n, d))
 
 
 def test_greedy_stop_when_halts_early():
@@ -396,6 +409,42 @@ def test_density_verdict_is_classify_endpoint_of_the_witness(r, rho):
         for x in points:
             e, _, verdict = density_witness(x, epsilon, r, rho)
             assert verdict == classify_endpoint(e, DEFAULT_DELTA)
+
+
+@pytest.mark.parametrize("r, rho", [(R, RHO), (Fraction(5, 7), Fraction(11, 4))])
+def test_density_witness_matches_the_reference(r, rho):
+    # The benchmark's pairs, epsilons and points, and the origin. The
+    # witness and its two metric prefixes skip the constructors' checks,
+    # so each is compared by value and by coordinate count with one built
+    # through them.
+    points = sample_deep_points(fan_relation(r, rho), 40, 40, seed=7)
+    points.append(PointPrefix((Fraction(0),) * 41))
+    for epsilon in DENSITY_EPSILONS:
+        for x in points:
+            e, bound, verdict = density_witness(x, epsilon, r, rho)
+            ref_e, ref_bound, ref_verdict = density_witness_reference(
+                x, epsilon, r, rho, analysis.DEFAULT_GREEDY_BUDGET, DEFAULT_DELTA
+            )
+            assert type(e) is PointPrefix and len(e.coords) == len(ref_e.coords)
+            assert all(type(c) is Fraction for c in e.coords)
+            assert e == ref_e and bound == ref_bound and verdict == ref_verdict
+
+
+def test_density_witness_metric_prefixes_have_the_common_length(monkeypatch):
+    seen = []
+
+    def recording(p, q):
+        seen.append((type(p), type(q), len(p.coords), len(q.coords)))
+        return truncated_metric(p, q)
+
+    monkeypatch.setattr(analysis, "truncated_metric", recording)
+    short = PointPrefix((Fraction(2, 5),) * 5)  # its witness climbs past it
+    long = PointPrefix((Fraction(99, 100),) * 41)  # its climb starts at 1 - delta and stops at once
+    for x in (short, long):
+        e, _, _ = density_witness(x, Fraction(1, 16), R, RHO)
+        common = min(len(e.coords), len(x.coords))
+        assert seen.pop() == (PointPrefix, PointPrefix, common, common)
+    assert len(density_witness(long, Fraction(1, 16), R, RHO)[0].coords) < len(long.coords)
 
 
 def test_density_verdict_short_budgets_and_prefix_peaks():
@@ -1079,6 +1128,34 @@ def test_hausdorff_shape_and_grid_errors():
             sample_resolution(fan, grid)
         with pytest.raises(DomainError, match="no larger than the largest float"):
             hausdorff(fan, fan, grid=grid)
+
+
+def test_hausdorff_computes_each_resolution_once(monkeypatch):
+    # One sample_resolution per fan, each padding its own direction, and
+    # still two directed calls; a directed call alone computes its own.
+    calls = []
+    resolution, directed = analysis.sample_resolution, analysis.directed_hausdorff
+
+    def counting_resolution(fan, grid):
+        calls.append(("resolution", fan.relation))
+        return resolution(fan, grid)
+
+    def counting_directed(a, b, grid, **kwargs):
+        calls.append(("directed", a.relation))
+        return directed(a, b, grid, **kwargs)
+
+    monkeypatch.setattr(analysis, "sample_resolution", counting_resolution)
+    monkeypatch.setattr(analysis, "directed_hausdorff", counting_directed)
+    g, l = cantor_relation(R), line_pair_relation(R, RHO)
+    a, b = enumerate_legs(g, 5), enumerate_legs(l, 5)
+    padded = [directed(a, b, 6), directed(b, a, 6)]
+    calls.clear()
+    assert hausdorff(a, b, 6) == (max(lo for lo, _ in padded), max(up for _, up in padded))
+    assert calls == [("resolution", g), ("resolution", l), ("directed", g), ("directed", l)]
+    assert padded[0][1] == padded[0][0] + 0.5 * resolution(a, 6)
+    # The depth is still checked before the grid and the legs.
+    with pytest.raises(DomainError, match="depth mismatch: 5 vs 3"):
+        hausdorff(a, FanApprox(F, 3, ()), grid=0)
 
 
 def test_verify_embedding_passes():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -381,6 +383,43 @@ def test_endpoints_report_is_one_indented_dump(capsys, tmp_path, argv, fan, thre
     assert report.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("with_report", [False, True], ids=["stdout", "report"])
+def test_endpoints_streams_its_report(monkeypatch, tmp_path, with_report):
+    # Each piece reaches stdout as the writer yields it; with --report it
+    # reaches the file, and stdout only once the file is complete.
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    pieces, written = [], []
+    original = cli.mahavier._fan_json
+
+    def watched(*args):
+        for piece in original(*args):
+            pieces.append(piece)
+            yield piece
+            written.append(len(out.getvalue()))
+
+    monkeypatch.setattr(cli.mahavier, "_fan_json", watched)
+    report = tmp_path / "report.json"
+    argv = ["endpoints", "--relation", "F", "--depth", "3"]
+    assert main(argv + (["--report", str(report)] if with_report else [])) == 0
+    assert len(pieces) > 27
+    expected = _report_reference(enumerate_legs(F_HALF_THREE, 3), Fraction(1, 100), Fraction(1, 2**20))
+    assert out.getvalue() == "".join(pieces) == expected
+    if with_report:
+        assert report.read_bytes() == expected.encode("utf-8")
+        assert set(written) == {0}
+    else:
+        assert written == list(itertools.accumulate(map(len, pieces)))
+
+
+def test_endpoints_report_to_a_device_still_reaches_stdout(capsys):
+    # /dev/null cannot be read back, so stdout gets each piece as it is written.
+    assert main(["endpoints", "--relation", "G", "--depth", "3", "--report", os.devnull]) == 0
+    fan = enumerate_legs(cantor_relation(Fraction(1, 2)), 3)
+    expected = _report_reference(fan, Fraction(1, 100), Fraction(1, 2**20))
+    assert capsys.readouterr().out == expected
+
+
 def test_endpoints_report_of_an_empty_leg_file(capsys, tmp_path):
     path = tmp_path / "empty.json"
     lelekfan.save_fan(lelekfan.FanApprox(F_HALF_THREE, 3, ()), path)
@@ -402,6 +441,38 @@ def test_density_small_run(capsys, tmp_path):
     assert data["pass"] is True
     assert data["failures"] == []
     assert json.loads(report_path.read_text()) == data
+
+
+def test_density_refuses_a_depth_below_k0_before_sampling(capsys, monkeypatch):
+    # With k0 = depth + 1 only a sampled origin failed, so the exit code
+    # depended on the seed. Now every seed is refused alike, unsampled.
+    sampled = []
+    original = cli.analysis.sample_deep_points
+    monkeypatch.setattr(
+        cli.analysis, "sample_deep_points", lambda *args: sampled.append(args) or original(*args)
+    )
+    errors_seen = set()
+    for seed in range(4):
+        argv = ["density", "--depth", "5", "--epsilon", "1/64", "--samples", "300", "--seed", str(seed)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors_seen.add(captured.err)
+    assert sampled == []
+    assert errors_seen == {
+        "fan: a prefix of length 6 cannot certify epsilon = 1/64 at every point: "
+        "a witness keeps k0 = 6 coordinates (the least k0 with 2^-k0 <= epsilon) "
+        "and needs one more; use --depth 6 or more\n"
+    }
+    for seed in range(4):
+        code, data = run(
+            capsys, "density", "--depth", "6", "--epsilon", "1/64", "--samples", "300", "--seed", str(seed)
+        )
+        assert code == 0 and data["pass"] and data["samples"] == 300
+    # A non-positive epsilon is named as such, not as a short prefix.
+    assert main(["density", "--depth", "3", "--epsilon=-1/64"]) == 3
+    assert capsys.readouterr().err == "fan: epsilon must be positive\n"
+    assert sampled and all(args[1] == 6 for args in sampled)
 
 
 def test_embed_check_small_run(capsys, tmp_path):
@@ -446,6 +517,36 @@ def test_hausdorff_full_to_line_pair(capsys):
         enumerate_legs(fan_relation(r, rho), 3), enumerate_legs(line_pair_relation(r, rho), 3), 6
     )
     assert (data["lower"], data["upper"]) == expected
+
+
+def test_hausdorff_computes_two_resolutions(capsys, monkeypatch):
+    calls = []
+    original = cli.analysis.sample_resolution
+
+    def counting(fan, grid):
+        calls.append(fan.relation)
+        return original(fan, grid)
+
+    monkeypatch.setattr(cli.analysis, "sample_resolution", counting)
+    r, rho = Fraction(1, 2), Fraction(3)
+    relations = {"F": fan_relation(r, rho), "G": cantor_relation(r), "Lrr": line_pair_relation(r, rho)}
+    for a, b, depth, grid in (("F", "G", 4, 5), ("G", "Lrr", 5, 8), ("F", "F", 3, 2)):
+        calls.clear()
+        assert main(["hausdorff", "--a", a, "--b", b, "--depth", str(depth), "--grid", str(grid)]) == 0
+        out = capsys.readouterr().out
+        assert calls == [relations[a], relations[b]]
+        fan_a, fan_b = enumerate_legs(relations[a], depth), enumerate_legs(relations[b], depth)
+        lower, upper = hausdorff(fan_a, fan_b, grid)
+        expected = {
+            "relation_a": a,
+            "relation_b": b,
+            "depth": depth,
+            "grid": grid,
+            "lower": lower,
+            "upper": upper,
+            "resolution": max(original(fan_a, grid), original(fan_b, grid)),
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,7 @@ def test_factor_across_prime_table_segments(monkeypatch):
                 continue
             for table in (EMPTY_TABLE, full):
                 monkeypatch.setattr(scalars, "_primes", table)
+                scalars._cached_division.cache_clear()  # divide again, over this table
                 assert factor(n) == expected, (end, n)
 
 
@@ -251,3 +252,77 @@ def test_factor_converts_any_rational_input():
     for bad in (0, -4, "0", "-4/9", 0.0, -0.5):
         with pytest.raises(DomainError, match="positive rational"):
             factor(bad)
+
+
+def test_factor_returns_a_new_dict_on_every_call():
+    first = factor(Fraction(12, 35))
+    assert first == {2: 2, 3: 1, 5: -1, 7: -1}
+    first[2] = 99
+    first[101] = 1
+    del first[5]
+    second = factor(Fraction(12, 35))
+    assert second == {2: 2, 3: 1, 5: -1, 7: -1}
+    assert second is not factor(Fraction(12, 35))
+
+
+def test_factor_cache_is_bounded_in_entries_and_integer_size():
+    cache = scalars._cached_division
+    cache.cache_clear()
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 100):
+        factor(n)
+        assert cache.cache_info().currsize <= maxsize
+    assert cache.cache_info().currsize == maxsize
+    cache.cache_clear()
+    below, past = (1 << 64) - 2, 1 << 64  # 64 and 65 bits, both factored within the bound
+    assert (below.bit_length(), past.bit_length()) == (64, 65)
+    for _ in range(2):
+        assert factor(past) == {2: 64}
+        assert factor(Fraction(1, past)) == {2: -64}
+    assert cache.cache_info().currsize == 1  # only the denominator 1
+    assert factor(below) == factor(below) == trial_factor_int(below)
+    assert cache.cache_info().currsize == 2
+
+
+def test_factor_refusal_is_raised_on_every_call():
+    cache = scalars._cached_division
+    cache.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="factor 1000003 exceeds"):
+            factor(Fraction(2, 1_000_003))
+    assert cache.cache_info().currsize == 1  # the numerator 2; a refusal is never cached
+
+
+def test_factor_matches_the_oracle_on_random_rationals():
+    # Twice each, so the second answer comes from the cache.
+    rng = random.Random(2028)
+    refused = 0
+    for _ in range(500):
+        n, d = (rng.randrange(1, 10 ** rng.randint(1, 7)) for _ in range(2))
+        q = Fraction(n, d)
+        expected = list(trial_factor_rational(q).items())
+        past_bound = [p for p, _ in expected if p > DEFAULT_PRIME_BOUND]
+        for _ in range(2):
+            if past_bound:
+                with pytest.raises(ResourceError, match=f"factor {past_bound[0]} exceeds"):
+                    factor(q)
+            else:
+                assert list(factor(q).items()) == expected, q
+        refused += bool(past_bound)
+    assert 0 < refused < 100
+
+
+def test_coprime_fraction_is_the_fraction_of_its_terms():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(0, 10 ** rng.randint(1, 500))
+        d = rng.randrange(1, 10 ** rng.randint(1, 500))
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        q, expected = scalars._coprime_fraction(n, d), Fraction(n, d)
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator) == (n, d)
+        assert q == expected and hash(q) == hash(expected)
+        assert format_scalar(q) == format_scalar(expected)
+        assert q * 3 - 1 == expected * 3 - 1 and (q < expected + 1) and not q > expected
