@@ -13,6 +13,7 @@ controlled by the metric tail.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 import sys
@@ -521,16 +522,44 @@ def _nearest(x, vs, cap, limit: float) -> float:
     return nearest
 
 
+def _within(x, vs, cap, limit: float) -> bool:
+    """Whether _nearest(x, vs, cap, inf) <= limit, stopping at the first candidate that is.
+
+    The candidates and their sums are _nearest's, in the same order and
+    accumulated the same way. Float sums of non-negative terms never
+    decrease, so a sum that passes limit part way is past it in full, and
+    one that never passes it is a candidate within limit.
+    """
+    capped = False
+    for xk, vk in zip(x, vs):
+        c = xk / vk
+        if c >= cap:
+            if capped:
+                continue
+            c, capped = cap, True
+        d = 0.0
+        for xj, vj in zip(x, vs):
+            d += abs(xj - c * vj)
+            if d > limit:
+                break
+        else:
+            return True
+    return False
+
+
 def _farthest(far_ends, root: _Node) -> float:
-    """Max over the far ends of the min distance to the legs below root."""
+    """Max over the far ends of the min distance to the legs below root.
+
+    `far_ends` is read one far end at a time and only once.
+    """
     worst = 0.0
     hint = None
     for x in far_ends:
         best = math.inf
         if hint is not None:
-            best = _nearest(x, *hint, math.inf)
-            if best <= worst:
+            if _within(x, *hint, worst):
                 continue
+            best = _nearest(x, *hint, math.inf)
         heap: list = []
         kids = (root,)
         while True:
@@ -561,9 +590,18 @@ def _legs_missing_from(a: FanApprox, b: FanApprox):
     and that check decides equality on its own: a None key, for a symbol
     outside b's slopes, can only send a leg to the search, which measures
     it like any unshared leg.
+
+    The index holds the smaller fan's words: when a has fewer legs than b,
+    only the b legs whose key is one of a's go in. Either way the last b
+    leg under a key is the one compared.
     """
     key = _symbol_values(b.relation, range(len(b.relation.slopes)), lambda s: None)
-    b_by_word = {tuple(key(leg.word.symbols)): leg for leg in b.legs}
+    if len(a.legs) < len(b.legs):
+        wanted = {tuple(key(leg.word.symbols)) for leg in a.legs}
+        b_by_word = {w: leg for leg in b.legs if (w := tuple(key(leg.word.symbols))) in wanted}
+        del wanted  # a caller may search while this generator is suspended
+    else:
+        b_by_word = {tuple(key(leg.word.symbols)): leg for leg in b.legs}
     for leg in a.legs:
         match = b_by_word.get(tuple(key(leg.word.symbols)))
         if match is None or (match.prefix_products, match.t_max) != (leg.prefix_products, leg.t_max):
@@ -601,14 +639,16 @@ def directed_hausdorff(
     The search (after Taha and Hanbury, "An efficient algorithm for
     calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015)
     puts b's words in a trie whose nodes hold the weighted direction
-    prefix their legs share and the largest cap below. Each far end first
-    measures the leg nearest to the previous far end; once any leg is
-    within the running max the far end cannot raise it and the search
-    stops. Otherwise it descends best-first: a node's lower bound is the
-    min over s in [0, node cap] of its partial sum over coordinates
-    0..m, which no leg below can beat (the terms it leaves out are
-    non-negative, and each leg's cap is at most the node's), and a node
-    whose bound exceeds the best leg found by more than _SLACK is
+    prefix their legs share and the largest cap below. The far ends are
+    made one at a time, as the search reads them, so it holds only the
+    trie and the shared-leg index. Each far end first tests the leg
+    nearest to the previous far end, stopping at the first candidate
+    within the running max: the far end then cannot raise it and the
+    search moves on. Otherwise it descends best-first: a node's lower
+    bound is the min over s in [0, node cap] of its partial sum over
+    coordinates 0..m, which no leg below can beat (the terms it leaves
+    out are non-negative, and each leg's cap is at most the node's), and
+    a node whose bound exceeds the best leg found by more than _SLACK is
     pruned. A leg's value is exactly the float the all-pairs evaluation
     gives, and min does not round, so the result does not depend on the
     order of either fan's legs or on what was pruned.
@@ -622,7 +662,10 @@ def directed_hausdorff(
     underflow to 0.
 
     A prefix product that overflows a float or underflows to 0 once
-    weighted is a DomainError, raised before any distance is computed.
+    weighted is a DomainError, raised before any distance is computed:
+    sample_resolution(a, grid) has converted all of a's products with the
+    search's weights, and the trie, which converts b's, is built before
+    the first far end is made.
     `grid` sets only the padding: the upper bound adds half of a's grid
     spacing, 0.5 * sample_resolution(a, grid). In exact arithmetic the
     lower bound equals the max over grid+1 samples of every leg of a
@@ -634,15 +677,16 @@ def directed_hausdorff(
     # sample_resolution checks grid and a's legs first.
     padding = 0.5 * (sample_resolution(a, grid) if _resolution is None else _resolution)
     _require_legs(b)
-    unshared = tuple(_legs_missing_from(a, b))
-    if not unshared:
+    unshared = _legs_missing_from(a, b)
+    first = next(unshared, None)
+    if first is None:
         return 0.0, padding
     weights = [2.0 ** -(k + 1) for k in range(a.depth + 1)]
     root = _trie(b.legs, weights)
-    far_ends = [
+    far_ends = (
         [(cap * p) * weight for p, weight in zip(row, weights)]
-        for row, cap in _float_rows(unshared, weights)
-    ]
+        for row, cap in _float_rows(itertools.chain((first,), unshared), weights)
+    )
     worst = _farthest(far_ends, root)
     return worst, worst + padding
 

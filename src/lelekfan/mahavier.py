@@ -28,7 +28,7 @@ from math import gcd
 
 from ._value import Value
 from .errors import DomainError, FormatError, ResourceError
-from .scalars import _echo, format_scalar, parse_scalar
+from .scalars import _coprime_fraction, _echo, format_scalar, parse_scalar
 
 DEFAULT_ENUM_BUDGET = 3**12
 
@@ -202,9 +202,11 @@ def _grow_legs(words):
     computed once, on integers: P_k = n/d times the slope sn/sd is
     (n//g1)*(sn//g2) / ((d//g2)*(sd//g1)) with g1 = gcd(n, sd) and g2 =
     gcd(sn, d), in lowest terms, and a new peak n/d is compared with 1/t_max
-    by cross-multiplying and gives the cap d/n. Taken again, a step is one
-    lookup by the three ids. A word resumes from the step the word before
-    it reached after the leading symbols the two share, compared by
+    by cross-multiplying and gives the cap d/n. Both pairs are in lowest
+    terms with a positive denominator, so their Fractions are built with
+    `_coprime_fraction`, which skips Fraction's gcd. Taken again, a step is
+    one lookup by the three ids. A word resumes from the step the word
+    before it reached after the leading symbols the two share, compared by
     identity.
 
     The tables die with the walk and hold only Fractions and pairs of
@@ -243,11 +245,11 @@ def _grow_legs(words):
                 n, d = (n // g1) * (sn // g2), (d // g2) * (sd // g1)
                 product = values.get((n, d))
                 if product is None:
-                    product = values[n, d] = Fraction(n, d)
+                    product = values[n, d] = _coprime_fraction(n, d)
                 if n * t_max.numerator > t_max.denominator * d:  # a new peak
                     t_max = values.get((d, n))
                     if t_max is None:
-                        t_max = values[d, n] = Fraction(d, n)
+                        t_max = values[d, n] = _coprime_fraction(d, n)
                 following = steps[key] = (product, t_max)
                 kept[id(s)] = s
             product, t_max = following

@@ -224,6 +224,31 @@ def hausdorff_max_min_exact(a_words, b_words, grid: int) -> Fraction:
     return worst
 
 
+def legs_missing_reference(a, b) -> list:
+    """Legs of fan a that are not legs of fan b, in a's order, by Fraction values only.
+
+    Each a leg is compared, on its products and cap, with the last b leg
+    whose word equals its own symbol by symbol, by value. A symbol that is
+    no slope of b's relation stands for any other such symbol, as in the
+    Hausdorff shared-leg lookup: a leg that this sends to the search is
+    measured there like any unshared leg.
+    """
+    slopes = set(b.relation.slopes)
+
+    def word(leg):
+        return tuple(s if s in slopes else None for s in leg.word.symbols)
+
+    last = {}
+    for leg in b.legs:
+        last[word(leg)] = leg
+    missing = []
+    for leg in a.legs:
+        match = last.get(word(leg))
+        if match is None or match.prefix_products != leg.prefix_products or match.t_max != leg.t_max:
+            missing.append(leg)
+    return missing
+
+
 def echo_reference(value) -> str:
     """An error message's echo of value: its whole text, cut to 200 characters.
 

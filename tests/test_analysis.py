@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -48,6 +50,7 @@ from lelekfan import (
     oracle_best_sequence,
     parse_scalar,
     sample_deep_points,
+    sample_legs,
     sample_points,
     sample_resolution,
     truncated_metric,
@@ -63,6 +66,7 @@ from oracles import (
     hausdorff_all_samples_float,
     hausdorff_max_min_exact,
     leg_reference,
+    legs_missing_reference,
     oracle_trace_by_preorder,
     points_reference,
 )
@@ -676,17 +680,23 @@ def _far_ends(legs):
 
 
 def _record_search(monkeypatch):
-    # Every distance the search evaluates, as (far end, direction prefix, cap).
-    # A call with the whole direction, one entry per coordinate, is a leaf
-    # evaluation; a shorter prefix is a trie node's lower bound.
+    # Every distance the search evaluates, as (far end, direction prefix, cap),
+    # through _nearest or the hint test _within. A call with the whole
+    # direction, one entry per coordinate, is a leaf evaluation; a shorter
+    # prefix is a trie node's lower bound.
     calls = []
-    nearest = analysis._nearest
 
-    def recording(x, vs, cap, limit):
-        calls.append((tuple(x), vs, cap))
-        return nearest(x, vs, cap, limit)
+    def recorder(name):
+        measure = getattr(analysis, name)
 
-    monkeypatch.setattr(analysis, "_nearest", recording)
+        def recording(x, vs, cap, limit):
+            calls.append((tuple(x), vs, cap))
+            return measure(x, vs, cap, limit)
+
+        monkeypatch.setattr(analysis, name, recording)
+
+    recorder("_nearest")
+    recorder("_within")
     return calls
 
 
@@ -897,6 +907,151 @@ def test_hausdorff_only_far_ends_reach_full_min(monkeypatch):
         leaves = {(vs, cap) for x, vs, cap in calls if len(vs) == len(x)}
         assert leaves <= b_directions, name
         assert lower > 0.0, name
+
+
+def _candidate_sums(x, vs, cap):
+    # Each candidate's whole sum, in _nearest's candidate order and accumulation.
+    sums, capped = [], False
+    for xk, vk in zip(x, vs):
+        c = xk / vk
+        if c >= cap:
+            if capped:
+                continue
+            c, capped = cap, True
+        d = 0.0
+        for xj, vj in zip(x, vs):
+            d += abs(xj - c * vj)
+        sums.append(d)
+    return sums
+
+
+def _within_cases():
+    # Seeded random rows (x_k in [0, w_k], v_k > 0) in three kinds: with
+    # zero coordinates, with a cap below every kink, and plain; then the
+    # far ends of F4 against L4's legs.
+    rng = random.Random(37)
+    for trial in range(600):
+        n = rng.randrange(0, 10)
+        weights = [2.0 ** -(k + 1) for k in range(n + 1)]
+        vs = tuple(w * rng.uniform(0.05, 4.0) for w in weights)
+        x = [w * rng.uniform(0.0, 1.0) for w in weights]
+        kind = trial % 3
+        if kind == 0:
+            for k in rng.sample(range(n + 1), rng.randrange(1, n + 2)):
+                x[k] = 0.0
+        kinks = [xk / vk for xk, vk in zip(x, vs)]
+        if kind == 1:
+            cap = min(kinks) * rng.uniform(0.1, 0.99)
+        else:
+            cap = rng.choice([rng.uniform(0.01, 1.0), max(kinks) or 1.0])
+        yield x, vs, cap
+    pairs = _crossed_pairs(4)
+    a, b = pairs["F to L"]
+    directions = [
+        (tuple(float(p) * 2.0 ** -(k + 1) for k, p in enumerate((1,) + leg.prefix_products)), float(leg.t_max))
+        for leg in b.legs
+    ]
+    for x in _far_ends(a.legs[::7]):
+        for vs, cap in directions[::3]:
+            yield list(x), vs, cap
+
+
+def test_within_is_nearest_within_limit():
+    # The hint test agrees with a full _nearest on every limit, including
+    # each candidate's sum exactly and the floats either side of it.
+    seen = {"zero coordinate": 0, "cap below every kink": 0, "limit on a sum": 0, "within": 0, "not within": 0}
+    rng = random.Random(41)
+    for x, vs, cap in _within_cases():
+        sums = _candidate_sums(x, vs, cap)
+        nearest = analysis._nearest(x, vs, cap, math.inf)
+        assert nearest == min(sums)
+        seen["zero coordinate"] += 0.0 in x
+        seen["cap below every kink"] += cap < min(xk / vk for xk, vk in zip(x, vs))
+        limits = [0.0, math.inf, rng.uniform(0.0, 1.0)]
+        for s in sums:
+            limits += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
+        for limit in limits:
+            within = analysis._within(x, vs, cap, limit)
+            assert within == (nearest <= limit), (x, vs, cap, limit)
+            seen["limit on a sum"] += limit in sums
+            seen["within" if within else "not within"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_directed_hausdorff_holds_no_row_per_far_end():
+    # Far ends are made one at a time, so the peak is b's trie and the
+    # shared-leg index: far below one row per unshared leg of a, which as a
+    # list of 9 floats takes more than 300 bytes.
+    a, b = _crossed_pairs(8)["F to L"]
+    directed_hausdorff(a, b, grid=8)
+    tracemalloc.start()
+    try:
+        directed_hausdorff(a, b, grid=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a.legs) == 3**8 and len(b.legs) == 2**8
+    assert peak < 128 * len(a.legs), peak
+
+
+def _index_peak(a, b):
+    # tracemalloc peak of running _legs_missing_from(a, b) to its end.
+    collections.deque(analysis._legs_missing_from(a, b), 0)
+    tracemalloc.start()
+    try:
+        collections.deque(analysis._legs_missing_from(a, b), 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_leg_index_holds_the_smaller_fan():
+    # Either way round the index holds about the smaller fan's words: G8's
+    # 256, not F8's 6,561, whose keys alone take about 20 times as much.
+    f_fan = enumerate_legs(F, 8)
+    g_fan = enumerate_legs(cantor_relation(R), 8)
+    small = _index_peak(g_fan, g_fan)
+    assert _index_peak(g_fan, f_fan) < 3 * small
+    assert _index_peak(f_fan, g_fan) < 3 * small
+    assert 20 * small < _index_peak(f_fan, f_fan)
+
+
+def test_shared_leg_lookup_matches_reference():
+    # Every ordered pair of these depth-3 fans, so both size orders: full
+    # and sampled fans (sampled words repeat), legs of equal but distinct
+    # Fractions, hand-built legs whose products or cap disagree with the
+    # leg of their word, two legs under one word in either order, and
+    # symbols outside b's slopes.
+    g_relation = cantor_relation(R)
+    f3, g3 = enumerate_legs(F, 3), enumerate_legs(g_relation, 3)
+    l3 = enumerate_legs(line_pair_relation(R, RHO), 3)
+    leg = f3.legs[7]
+    wrong = Leg(leg.word, leg.prefix_products[:-1] + (leg.prefix_products[-1] * 2,), leg.t_max)
+    halved = Leg(leg.word, leg.prefix_products, leg.t_max / 2)
+    copies = tuple(build_leg(Word(tuple(Fraction(s.numerator, s.denominator) for s in leg.word.symbols))) for leg in f3.legs[::2])
+    outside = tuple(build_leg(Word(w)) for w in ((R, Fraction(5, 7), RHO), (R, Fraction(7, 5), RHO), (Fraction(5, 7), R, R)))
+    fans = [
+        f3,
+        g3,
+        l3,
+        FanApprox(F, 3, tuple(sample_legs(F, 3, 60, seed=8))),
+        FanApprox(g_relation, 3, tuple(sample_legs(g_relation, 3, 20, seed=9))),
+        FanApprox(F, 3, copies),
+        FanApprox(F, 3, (leg, wrong, halved)),
+        FanApprox(F, 3, f3.legs + (wrong,)),
+        FanApprox(F, 3, (wrong,) + f3.legs),
+        FanApprox(F, 3, (halved,) + l3.legs + (leg,)),
+        FanApprox(g_relation, 3, g3.legs + outside),
+        FanApprox(F, 3, outside[1:] + (outside[0],) + g3.legs[:3]),
+        FanApprox(F, 3, outside[:1]),
+    ]
+    sizes = set()
+    for a in fans:
+        for b in fans:
+            expected = legs_missing_reference(a, b)
+            assert list(analysis._legs_missing_from(a, b)) == expected
+            sizes.add((len(a.legs) > len(b.legs)) - (len(a.legs) < len(b.legs)))
+    assert sizes == {-1, 0, 1}
 
 
 def _reference_fans(depth: int, r=R, rho=RHO):

@@ -26,6 +26,7 @@ from lelekfan import (
     enumerate_legs,
     fan_from_dict,
     fan_relation,
+    format_scalar,
     is_degenerating,
     leg_point,
     line_pair_relation,
@@ -354,6 +355,27 @@ def test_integer_walk_reduces_by_both_gcds():
     assert len(legs) == len(words)
     for leg, symbols in zip(legs, words):
         _assert_exact_leg(leg, leg_reference(symbols))
+
+
+def test_walk_values_are_the_fractions_of_their_terms():
+    # The walk builds each product and cap from its reduced terms without
+    # Fraction's gcd: each must be the Fraction that plain arithmetic gives,
+    # in value, terms, hash and text, on enumerated, sampled, loaded and
+    # single legs.
+    rng = random.Random(29)
+    walks = [enumerate_legs(relation, 6).legs for relation in (F, GCD)]
+    walks.append(sample_legs(F, 400, 20, seed=5))
+    walks.append(fan_from_dict(fan_to_dict(enumerate_legs(GCD, 4))).legs)
+    walks.append([build_leg(Word(tuple(GCD.slopes[rng.randrange(3)] for _ in range(60)))) for _ in range(20)])
+    for legs in walks:
+        for leg in legs:
+            reference = leg_reference(leg.word.symbols)
+            pairs = list(zip(leg.prefix_products, reference.prefix_products)) + [(leg.t_max, reference.t_max)]
+            for value, expected in pairs:
+                assert type(value) is Fraction
+                assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+                assert value == expected and hash(value) == hash(expected)
+                assert str(value) == str(expected) and format_scalar(value) == format_scalar(expected)
 
 
 @pytest.mark.parametrize("name", ["F", "G", "L"])
