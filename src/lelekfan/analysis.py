@@ -27,6 +27,7 @@ from .mahavier import (
     FanApprox,
     PointPrefix,
     RelationSpec,
+    _collector_paused,
     _drawn,
     _symbol_values,
     cantor_relation,
@@ -474,23 +475,28 @@ class _Node:
 
 
 def _trie(legs, weights) -> _Node:
-    """The trie of the legs' words; each prefix product is converted once per node."""
+    """The trie of the legs' words; each prefix product is converted once per node.
+
+    Nodes hold no parent links, so the trie makes no reference cycle and
+    is built with the collector paused.
+    """
     depth = len(weights) - 1
     root = _Node((weights[0],), depth == 0)
-    for leg in legs:
-        cap = leg.t_max.numerator / leg.t_max.denominator
-        node = root
-        for k, p in enumerate(leg.prefix_products, 1):
+    with _collector_paused():
+        for leg in legs:
+            cap = leg.t_max.numerator / leg.t_max.denominator
+            node = root
+            for k, p in enumerate(leg.prefix_products, 1):
+                node.cap = max(node.cap, cap)
+                child = node.kids.get(id(p))
+                if child is None:
+                    weight = weights[k]
+                    v = _checked_float(p, weight) * weight
+                    child = node.kids[id(p)] = _Node(node.vs + (v,), k == depth)
+                node = child
             node.cap = max(node.cap, cap)
-            child = node.kids.get(id(p))
-            if child is None:
-                weight = weights[k]
-                v = _checked_float(p, weight) * weight
-                child = node.kids[id(p)] = _Node(node.vs + (v,), k == depth)
-            node = child
-        node.cap = max(node.cap, cap)
-        if cap not in node.caps:
-            node.caps.append(cap)
+            if cap not in node.caps:
+                node.caps.append(cap)
     return root
 
 

@@ -19,6 +19,8 @@ threads. Each converts and validates its fields in `__new__`.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 import random
@@ -35,6 +37,27 @@ DEFAULT_ENUM_BUDGET = 3**12
 # Below this cap a word family is flagged as degenerating: its prefix
 # products have grown so large that the leg is collapsing toward the top.
 DEGENERACY_THRESHOLD = Fraction(1, 2**20)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block; restore its state on exit.
+
+    A fan is made of tuples holding Fractions, which stay tracked, so each
+    full collector pass while a fan is built walks every leg made so far,
+    and finds nothing: neither a prefix walk nor a leg file's parsed
+    objects nor a trie of legs makes a reference cycle. On exit, normal or
+    by an exception, the collector is enabled again only if it was enabled
+    on entry. The collector is process-wide: while the block runs, no
+    cycle anywhere in the process is collected.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class RelationSpec(Value, namedtuple("RelationSpec", "slopes")):
@@ -309,9 +332,12 @@ def _walk(relation: RelationSpec, depth: int, budget: int):
 def enumerate_legs(relation: RelationSpec, depth: int, budget: int = DEFAULT_ENUM_BUDGET) -> FanApprox:
     """All legs of the given depth, one per word, in lexicographic slope order.
 
-    The legs of one `_walk`; use sample_legs for depths past the budget.
+    The legs of one `_walk`, built with the collector paused; use
+    sample_legs for depths past the budget.
     """
-    return FanApprox(relation, depth, tuple(_walk(relation, depth, budget)))
+    walk = _walk(relation, depth, budget)
+    with _collector_paused():
+        return FanApprox(relation, depth, tuple(walk))
 
 
 def _drawn(rng: random.Random, relation: RelationSpec, depth: int, count: int):
@@ -333,10 +359,12 @@ def _drawn(rng: random.Random, relation: RelationSpec, depth: int, count: int):
 def sample_legs(relation: RelationSpec, depth: int, count: int, seed: int) -> tuple[Leg, ...]:
     """`count` words drawn uniformly i.i.d. over slopes^depth, deterministic under seed.
 
-    All the drawn words go through one `_drawn` walk, so the legs share
-    their product and t_max objects.
+    All the drawn words go through one `_drawn` walk, built with the
+    collector paused, so the legs share their product and t_max objects.
     """
-    return tuple(_drawn(random.Random(seed), relation, depth, count))
+    walk = _drawn(random.Random(seed), relation, depth, count)
+    with _collector_paused():
+        return tuple(walk)
 
 
 def truncated_metric(p: PointPrefix, q: PointPrefix) -> tuple[Fraction, Fraction]:
@@ -414,18 +442,61 @@ def _parse_text(text, what: str) -> Fraction:
     return parse_scalar(text)
 
 
-def fan_from_dict(data: dict) -> FanApprox:
-    """Rebuild a fan from its JSON form, recomputing and verifying each leg.
+class _LegText(namedtuple("_LegText", "word t_max")):
+    """A leg object of a leg file as `load_fan` reads it: a tuple of word texts and a t_max text.
 
-    Prefix products are recomputed from the stored words; a stored t_max
-    that disagrees with the recomputed value is a FormatError, and so is
-    any field of the wrong JSON type. Each distinct scalar text is parsed
-    and checked once per call. Every symbol is the relation's own slope
-    object, so the legs are rebuilt by one `_grow_legs` walk, as in
-    `enumerate_legs`, and a file in `enumerate_legs` order costs about
-    one step per leg. Legs are parsed, rebuilt and checked one at a time,
-    so the first error in file order is reported.
+    It stands for the dict {"word": list(word), "t_max": t_max} that
+    `json.load` parsed. `fan_from_dict` reads it inside "legs"; anywhere
+    else it must fail as that dict fails, so subscripting it and its repr
+    go through the dict, and every error message reads the same.
     """
+
+    __slots__ = ()
+
+    def _as_parsed(self) -> dict:
+        return {"word": list(self.word), "t_max": self.t_max}
+
+    def __getitem__(self, key):
+        return self._as_parsed()[key]
+
+    def __repr__(self) -> str:
+        return repr(self._as_parsed())
+
+
+def _leg_text_hook():
+    """A new `json.load` object hook that turns leg objects into `_LegText`s.
+
+    An object whose keys are "word" then "t_max", holding a list of
+    strings and a string, becomes a `_LegText`, and each of its texts is
+    the first equal text the hook has seen, so a file's legs share one
+    string per distinct symbol and t_max. Every other object is returned
+    as it is, and the hook raises nothing: an unhashable word item is
+    caught, and the leg stays a dict.
+    """
+    texts: dict[str, str] = {}
+    share = texts.setdefault
+    new = tuple.__new__
+
+    def hook(obj: dict):
+        if len(obj) != 2:
+            return obj
+        word, t_max = obj.get("word"), obj.get("t_max")
+        if type(word) is not list or type(t_max) is not str or next(iter(obj)) != "word":
+            return obj
+        try:
+            # The keys of `texts` are strings, so any other item misses.
+            word = tuple(map(texts.__getitem__, word))
+        except (KeyError, TypeError):
+            if not all(type(text) is str for text in word):
+                return obj
+            word = tuple([share(text, text) for text in word])
+        return new(_LegText, (word, share(t_max, t_max)))
+
+    return hook
+
+
+def _fan_head(data) -> tuple[RelationSpec, int, list]:
+    """The relation, depth and leg list of a fan's JSON form, each checked, in that order."""
     try:
         slope_texts = data["relation"]["slopes"]
         depth = data["depth"]
@@ -437,22 +508,45 @@ def fan_from_dict(data: dict) -> FanApprox:
     relation = RelationSpec(
         tuple(_parse_text(s, "slope") for s in _list_field(slope_texts, "slopes"))
     )
+    return relation, depth, _list_field(raw_legs, "legs")
+
+
+def _fan_legs(relation: RelationSpec, depth: int, raws) -> FanApprox:
+    """The fan of the leg objects `raws`, any iterable read once, each rebuilt and checked.
+
+    Each distinct scalar text is parsed and checked once per call: a word
+    text is then one lookup, and a t_max text, once checked, stands for
+    the walk's own cap object, so a later leg with that text is checked by
+    identity. Every symbol is the relation's own slope object, so the legs
+    are rebuilt by one `_grow_legs` walk, as in `enumerate_legs`, and a
+    file in `enumerate_legs` order costs about one step per leg. Legs are
+    parsed, rebuilt and checked one at a time, so the first error in file
+    order is reported. A leg object is a dict or a `_LegText`.
+    """
     own_slope = {s: s for s in relation.slopes}
     symbol_of: dict[str, Fraction] = {}  # word text -> the relation's own slope
     t_max_of: dict[str, Fraction] = {}
 
     def symbols_of(raw) -> tuple[Fraction, ...]:
-        if type(raw) is not dict:
-            raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
-        for key in ("word", "t_max"):
-            if key not in raw:
-                raise FormatError(f"malformed leg file: leg {_echo(raw)} has no {key!r}")
-        word_texts = _list_field(raw["word"], "word")
+        if type(raw) is _LegText:
+            word_texts = raw.word
+        else:
+            if type(raw) is not dict:
+                raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
+            for key in ("word", "t_max"):
+                if key not in raw:
+                    raise FormatError(f"malformed leg file: leg {_echo(raw)} has no {key!r}")
+            word_texts = _list_field(raw["word"], "word")
         if len(word_texts) != depth:
             raise FormatError(
-                f"word {_echo(word_texts)} has length {len(word_texts)}, "
+                f"word {_echo(list(word_texts))} has length {len(word_texts)}, "
                 f"expected depth {_echo(depth)}"
             )
+        try:
+            # The keys of `symbol_of` are strings, so any other item misses.
+            return tuple(map(symbol_of.__getitem__, word_texts))
+        except (KeyError, TypeError):
+            pass
         symbols = []
         for text in word_texts:
             symbol = symbol_of.get(text) if type(text) is str else None
@@ -467,22 +561,39 @@ def fan_from_dict(data: dict) -> FanApprox:
             symbols.append(symbol)
         return tuple(symbols)
 
-    raws = _list_field(raw_legs, "legs")
     legs = []
     # zip reads leg i from raws before the walk parses it, and the walk
-    # parses leg i + 1 only after leg i's t_max has been checked.
-    for raw, leg in zip(raws, _grow_legs(map(symbols_of, raws))):
-        text = raw["t_max"]
+    # parses leg i + 1 only after leg i's t_max has been checked; tee holds
+    # leg i only until both have read it.
+    checked, parsed = itertools.tee(raws)
+    for raw, leg in zip(checked, _grow_legs(map(symbols_of, parsed))):
+        text = raw.t_max if type(raw) is _LegText else raw["t_max"]
         stored = t_max_of.get(text) if type(text) is str else None
         if stored is None:
             stored = t_max_of[text] = _parse_text(text, "t_max")
-        if stored != leg.t_max:
-            raise FormatError(
-                f"stored t_max {_echo(text)} disagrees with recomputed "
-                f"{_echo(leg.t_max)} for word {_echo(raw['word'])}"
-            )
+        if stored is not leg.t_max:
+            if stored != leg.t_max:
+                raise FormatError(
+                    f"stored t_max {_echo(text)} disagrees with recomputed "
+                    f"{_echo(leg.t_max)} for word {_echo(raw['word'])}"
+                )
+            # The walk makes one object per value.
+            t_max_of[text] = leg.t_max
         legs.append(leg)
     return FanApprox(relation, depth, tuple(legs))
+
+
+def fan_from_dict(data: dict) -> FanApprox:
+    """Rebuild a fan from its JSON form, recomputing and verifying each leg.
+
+    Prefix products are recomputed from the stored words; a stored t_max
+    that disagrees with the recomputed value is a FormatError, and so is
+    any field of the wrong JSON type. The relation, depth and leg list are
+    checked first, then each leg in file order: its word is read, its leg
+    rebuilt by the prefix walk `enumerate_legs` runs and its stored t_max
+    checked, so the first error in file order is reported.
+    """
+    return _fan_legs(*_fan_head(data))
 
 
 def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
@@ -560,12 +671,28 @@ def save_fan(fan: FanApprox, path) -> None:
     _save(path, fan.relation, fan.depth, fan.legs)
 
 
+def _drained(items: list):
+    """The items of a list the caller owns, in order, each dropped from the list as it is read."""
+    for i in range(len(items)):
+        item, items[i] = items[i], None
+        yield item
+
+
 def load_fan(path) -> FanApprox:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        # ValueError covers undecodable bytes, malformed JSON and an integer
-        # literal past Python's int/str conversion limit.
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"not valid JSON: {path}: {exc}") from exc
-    return fan_from_dict(data)
+    """Read a leg file as `fan_from_dict` reads its JSON form.
+
+    `json.load` turns each leg object into a `_LegText` as it parses it,
+    and each is dropped from the parsed list once its leg is rebuilt, so
+    the parsed legs and the rebuilt ones are not held together. The file
+    is parsed and its fan built with the collector paused.
+    """
+    with _collector_paused():
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                data = json.load(handle, object_hook=_leg_text_hook())
+            # ValueError covers undecodable bytes, malformed JSON and an integer
+            # literal past Python's int/str conversion limit.
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"not valid JSON: {path}: {exc}") from exc
+        relation, depth, raws = _fan_head(data)
+        return _fan_legs(relation, depth, _drained(raws))

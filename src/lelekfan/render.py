@@ -3,13 +3,14 @@
 Legs are drawn as straight planar strokes from a common apex, fanning
 downward; the ambient object lives in the Hilbert cube, so the picture is
 a schematic in which the angle encodes the word and the radial length
-encodes t_max. Angles are computed as exact rationals and converted to
-floats only when coordinates are written, so identical input yields
-byte-identical output.
+encodes t_max. Angles are computed exactly, as ratios of integers, and
+converted to floats only when coordinates are written, so identical input
+yields byte-identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .errors import DomainError
-from .mahavier import FanApprox, Leg, _symbol_values
+from .mahavier import FanApprox, Leg, _collector_paused, _symbol_values
 from .scalars import _echo
 
 ANGLE_CANTOR = "cantor"
@@ -78,6 +79,54 @@ def _not_a_slope(symbol: Fraction):
     raise DomainError(f"symbol {_echo(symbol)} is not a slope of the relation")
 
 
+def _angles(fan: FanApprox, angle_map: str):
+    """An iterator over (leg, num, den) per distinct word, in sorted word order.
+
+    The angle is num/den, as `angle_fractions` documents it, in integers
+    that need not be coprime. Every DomainError is raised by this call,
+    before the iterator is returned. When the words strictly increase, as
+    an enumerated fan's do, the legs are read in their own order and no
+    table is held. Otherwise each distinct word's first leg goes into a
+    table whose keys are then sorted, with the collector paused: the table
+    holds only tuples of ints and legs.
+    """
+    slopes = fan.relation.slopes
+    index = _symbol_values(fan.relation, range(len(slopes)), _not_a_slope)
+    digits, base = _digit_map(len(slopes))
+
+    def key(leg) -> tuple:
+        return tuple(index(leg.word.symbols))
+
+    # (key, leg) per distinct word, in sorted word order.
+    if all(a < b for a, b in itertools.pairwise(map(key, fan.legs))):
+        count, ordered = len(fan.legs), ((key(leg), leg) for leg in fan.legs)
+    else:
+        with _collector_paused():
+            unique: dict[tuple, Leg] = {}
+            for leg in fan.legs:
+                unique.setdefault(key(leg), leg)
+            keys = sorted(unique)
+        count, ordered = len(keys), ((k, unique[k]) for k in keys)
+
+    if angle_map == ANGLE_CANTOR:
+        def cantor(item):
+            word, leg = item
+            if not word:
+                return leg, 1, 2
+            # Horner in integers: the digits of the word as one base-`base` numeral.
+            num = 0
+            for idx in word:
+                num = num * base + digits[idx]
+            return leg, num, base ** len(word)
+
+        return map(cantor, ordered)
+    if angle_map == ANGLE_UNIFORM:
+        if count == 1:
+            return ((leg, 1, 2) for _, leg in ordered)
+        return ((leg, rank, count - 1) for rank, (_, leg) in enumerate(ordered))
+    raise DomainError(f"unknown angle map: {_echo(repr(angle_map))}")
+
+
 def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]]:
     """Exact angular position in [0, 1] per distinct word, before any float conversion.
 
@@ -86,45 +135,21 @@ def angle_fractions(fan: FanApprox, angle_map: str) -> list[tuple[Leg, Fraction]
     words receive distinct fractions under both maps. A symbol that is not a
     slope of the fan's relation is a DomainError.
     """
-    slopes = fan.relation.slopes
-    index = _symbol_values(fan.relation, range(len(slopes)), _not_a_slope)
-    digits, base = _digit_map(len(slopes))
-
-    unique: dict[tuple, Leg] = {}
-    for leg in fan.legs:
-        unique.setdefault(tuple(index(leg.word.symbols)), leg)
-    ordered = sorted(unique.items())
-
-    pairs = []
-    if angle_map == ANGLE_CANTOR:
-        for key, leg in ordered:
-            if not key:
-                pairs.append((leg, Fraction(1, 2)))
-                continue
-            # Horner in integers: the digits of key as one base-`base` numeral.
-            num = 0
-            for idx in key:
-                num = num * base + digits[idx]
-            pairs.append((leg, Fraction(num, base ** len(key))))
-    elif angle_map == ANGLE_UNIFORM:
-        count = len(ordered)
-        for rank, (_, leg) in enumerate(ordered):
-            x = Fraction(rank, count - 1) if count > 1 else Fraction(1, 2)
-            pairs.append((leg, x))
-    else:
-        raise DomainError(f"unknown angle map: {_echo(repr(angle_map))}")
-    return pairs
+    return [(leg, Fraction(num, den)) for leg, num, den in _angles(fan, angle_map)]
 
 
 def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
-    """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs.
+def _svg_lines(fan: FanApprox, config: RenderConfig):
+    """An iterator over the lines of `render_fan`'s document, each with its newline.
 
-    A t_max or angle x = p/q is converted as p / q, which rounds
-    correctly, as float(x) does.
+    Every DomainError is raised by this call, before the iterator is
+    returned, so a caller can write the lines as they are drawn and never
+    hold them. An angle num/den and a cap t_max = p/q are converted as
+    num / den and p / q, which round correctly, as float of the reduced
+    Fraction does; each distinct t_max object is converted once.
     """
     if not fan.legs:
         raise DomainError("cannot render an empty fan")
@@ -135,22 +160,35 @@ def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
     vertical = height - apex_y - margin
     horizontal = (apex_x - margin) / _half_sine(config.sweep)
     radius = max(min(vertical, horizontal), 1.0)
+    angles = _angles(fan, config.angle_map)
 
-    parts = [
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">',
-    ]
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n',
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
+        f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">\n',
+    )
     apex = f'<line x1="{_fmt(apex_x)}" y1="{_fmt(apex_y)}" '
-    for leg, x in angle_fractions(fan, config.angle_map):
+    lengths: dict[int, float] = {}  # id(t_max) -> stroke length; the fan keeps each alive
+
+    def stroke(angle) -> str:
+        leg, num, den = angle
         t_max = leg.t_max
-        length = radius * (t_max.numerator / t_max.denominator)
-        phi = (x.numerator / x.denominator - 0.5) * sweep
+        length = lengths.get(id(t_max))
+        if length is None:
+            length = lengths[id(t_max)] = radius * (t_max.numerator / t_max.denominator)
+        phi = (num / den - 0.5) * sweep
         end_x = apex_x + length * math.sin(phi)
         end_y = apex_y + length * math.cos(phi)
-        parts.append(f'{apex}x2="{_fmt(end_x)}" y2="{_fmt(end_y)}"/>')
-    parts.append("</g>")
-    parts.append("</svg>")
-    parts.append("")
-    return "\n".join(parts)
+        return f'{apex}x2="{_fmt(end_x)}" y2="{_fmt(end_y)}"/>\n'
+
+    return itertools.chain(head, map(stroke, angles), ("</g>\n", "</svg>\n"))
+
+
+def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
+    """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs.
+
+    A t_max or angle x = p/q is converted as p / q, which rounds
+    correctly, as float(x) does.
+    """
+    return "".join(_svg_lines(fan, config))

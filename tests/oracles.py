@@ -8,7 +8,8 @@ reasoning anywhere. Legs are rebuilt word by word with
 and a leg file's dict is written scalar by scalar, not through the
 streaming writer.
 An error message's echo is composed the plain way: the value's whole text
-by `format_scalar`, then the cut.
+by `format_scalar`, then the cut. An SVG is drawn from `angle_fractions`'
+Fractions, each converted by `float`, as one list of lines.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from lelekfan import Leg, PointPrefix, Word, classify_endpoint, fan_relation, format_scalar
+from lelekfan import (
+    Leg,
+    PointPrefix,
+    Word,
+    angle_fractions,
+    classify_endpoint,
+    fan_relation,
+    format_scalar,
+)
 
 
 def trial_factor_int(n: int) -> dict[int, int]:
@@ -344,6 +353,48 @@ def cantor_angle_reference(word, slopes) -> Fraction:
     for k, s in enumerate(word, start=1):
         x += Fraction(digits[slopes.index(s)], base**k)
     return x
+
+
+def angles_reference(fan, angle_map: str) -> list:
+    """(leg, angle) per distinct word, sorted by its slope indexes, with the word's first leg.
+
+    A word's slopes are found by value in the relation's slope list. The
+    Cantor angle is `cantor_angle_reference`; the uniform one spreads the
+    sorted words evenly over [0, 1], a single word sitting at 1/2.
+    """
+    slopes = list(fan.relation.slopes)
+    first = {}
+    for leg in fan.legs:
+        first.setdefault(tuple(slopes.index(s) for s in leg.word.symbols), leg)
+    words = sorted(first)
+    if angle_map == "cantor":
+        return [(first[w], cantor_angle_reference(first[w].word.symbols, slopes)) for w in words]
+    last = len(words) - 1
+    return [(first[w], Fraction(rank, last) if last else Fraction(1, 2)) for rank, w in enumerate(words)]
+
+
+def render_reference(fan, config) -> str:
+    """`render_fan`'s document: one stroke per `angle_fractions` pair, converted by float()."""
+    width, height = config.width, config.height
+    apex_x, apex_y = width / 2.0, 20.0
+    sweep = math.radians(config.sweep)
+    horizontal = (apex_x - 10.0) / math.sin(math.radians(config.sweep) / 2.0)
+    radius = max(min(height - apex_y - 10.0, horizontal), 1.0)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">',
+    ]
+    for leg, x in angle_fractions(fan, config.angle_map):
+        length = radius * float(leg.t_max)
+        phi = (float(x) - 0.5) * sweep
+        end_x = apex_x + length * math.sin(phi)
+        end_y = apex_y + length * math.cos(phi)
+        lines.append(
+            f'<line x1="{apex_x:.4f}" y1="{apex_y:.4f}" x2="{end_x:.4f}" y2="{end_y:.4f}"/>'
+        )
+    return "\n".join(lines + ["</g>", "</svg>", ""])
 
 
 def deep_points_reference(slopes, depth: int, count: int, seed: int, t_denominator: int = 1024):

@@ -17,6 +17,8 @@ import pytest
 import lelekfan
 from lelekfan import cli, errors
 from lelekfan import (
+    FanApprox,
+    RenderConfig,
     cantor_relation,
     classify_endpoint,
     enumerate_legs,
@@ -28,7 +30,9 @@ from lelekfan import (
     line_pair_relation,
     load_fan,
     parse_scalar,
+    render_fan,
     sample_legs,
+    save_fan,
 )
 from lelekfan.cli import main
 
@@ -624,6 +628,23 @@ def test_render_bad_stroke_width_exits_3(capsys, tmp_path, option, value, messag
     err = capsys.readouterr().err
     assert message in err and len(err) < 1024
     assert not svg.exists()
+
+
+def test_render_writes_its_lines_as_they_are_drawn(capsys, tmp_path):
+    # The file is opened only once the picture is known to be drawable, and
+    # its lines are render_fan's document.
+    legs = tmp_path / "legs.json"
+    svg = tmp_path / "x.svg"
+    save_fan(FanApprox(fan_relation(Fraction(1, 2), 3), 2, ()), legs)
+    assert main(["render", "--in", str(legs), "--out", str(svg)]) == 3
+    assert "cannot render an empty fan" in capsys.readouterr().err
+    assert not svg.exists()
+    main(["build", "--relation", "F", "--depth", "5", "--out", str(legs)])
+    capsys.readouterr()
+    for angle_map in ("cantor", "uniform"):
+        assert main(["render", "--in", str(legs), "--out", str(svg), "--angle-map", angle_map]) == 0
+        expected = render_fan(load_fan(legs), RenderConfig(angle_map=angle_map))
+        assert svg.read_bytes() == expected.encode("utf-8")
 
 
 def test_render_missing_file_is_precondition_exit(capsys, tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,18 @@ from lelekfan import (
     save_fan,
     truncated_metric,
 )
+from lelekfan import analysis, mahavier, render
 from lelekfan.cli import main
-from lelekfan.mahavier import _drawn, _fan_json, _grow_legs, _symbol_values, _walk
+from lelekfan.mahavier import (
+    _collector_paused,
+    _drawn,
+    _fan_json,
+    _grow_legs,
+    _leg_text_hook,
+    _LegText,
+    _symbol_values,
+    _walk,
+)
 
 R = Fraction(1, 2)
 RHO = Fraction(3)
@@ -640,6 +651,7 @@ def test_save_fan_writes_one_indented_dump(tmp_path, order):
     save_fan(fan, path)
     expected = json.dumps(fan_to_dict(fan), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+    assert load_fan(path) == fan
 
 
 # The further fields of leg i are EXTRA_FIELDS[name][i % len]. Equal
@@ -854,3 +866,235 @@ def test_malformed_leg_file_exits_3(tmp_path, capsys):
         path.write_text(json.dumps(_malformed(case)))
         assert main(["endpoints", "--in", str(path)]) == 3, case
         assert "malformed leg file" in capsys.readouterr().err, case
+
+
+# A leg-shaped object, {"word": [...], "t_max": "..."}, anywhere but in
+# "legs", legs the reader keeps as dicts, and legs whose texts the reader
+# shares: each error reads as it did when the reader kept every object a
+# dict (texts recorded then).
+LEG_SHAPED_ERRORS = {
+    "document": "malformed leg file: 'relation'",
+    "relation": "malformed leg file: 'slopes'",
+    "slopes": "malformed leg file: slopes {'word': ['1/2'], 't_max': '1'} is not a list",
+    "slope": "malformed leg file: slope {'word': ['1/2'], 't_max': '1'} is not a string",
+    "depth": "malformed leg file: depth {'word': ['1/2'], 't_max': '1'} is not an integer",
+    "legs": "malformed leg file: legs {'word': ['1/2'], 't_max': '1'} is not a list",
+    "leg-in-a-list": "malformed leg file: leg [{'word': ['1/2'], 't_max': '1'}] is not an object",
+    "extra-key": "stored t_max 1/9 disagrees with recomputed 1/3 for word ['3']",
+    "extra-key-no-t_max": (
+        "malformed leg file: leg {'word': ['3'], 'note': {'word': ['1/2'], 't_max': '1'}} "
+        "has no 't_max'"
+    ),
+    "word-holds-a-list": "malformed leg file: symbol ['3'] is not a string",
+    "word-holds-a-leg": "malformed leg file: symbol {'word': ['1/2'], 't_max': '1'} is not a string",
+    "word-is-a-leg": "malformed leg file: word {'word': ['1/2'], 't_max': '1'} is not a list",
+    "t_max-is-a-leg": "malformed leg file: t_max {'word': ['1/2'], 't_max': '1'} is not a string",
+    "keys-reversed": "stored t_max 1/9 disagrees with recomputed 1/3 for word ['3']",
+    "word-length": "word ['3', '3'] has length 2, expected depth 1",
+    "foreign-symbol": "symbol 5 is not a slope of the relation",
+    # The text "1/3" is checked on the first leg, then fails on the second.
+    "shared-t_max-text": "stored t_max 1/3 disagrees with recomputed 1 for word ['1/2']",
+}
+
+
+def _leg_shaped(case: str) -> dict:
+    leg = {"word": ["1/2"], "t_max": "1"}
+    data = {
+        "relation": {"slopes": ["1/2", "1", "3"]},
+        "depth": 1,
+        "legs": [{"word": ["3"], "t_max": "1/3"}],
+    }
+    first = data["legs"][0]
+    if case == "document":
+        return leg
+    if case == "relation":
+        data["relation"] = leg
+    elif case == "slopes":
+        data["relation"]["slopes"] = leg
+    elif case == "slope":
+        data["relation"]["slopes"][0] = leg
+    elif case == "depth":
+        data["depth"] = leg
+    elif case == "legs":
+        data["legs"] = leg
+    elif case == "leg-in-a-list":
+        data["legs"] = [[leg]]
+    elif case == "extra-key":
+        data["legs"][0] = {"word": ["3"], "t_max": "1/9", "note": leg}
+    elif case == "extra-key-no-t_max":
+        data["legs"][0] = {"word": ["3"], "note": leg}
+    elif case == "word-holds-a-list":
+        first["word"] = [["3"]]
+    elif case == "word-holds-a-leg":
+        first["word"] = [leg]
+    elif case == "word-is-a-leg":
+        first["word"] = leg
+    elif case == "t_max-is-a-leg":
+        first["t_max"] = leg
+    elif case == "keys-reversed":
+        data["legs"][0] = {"t_max": "1/9", "word": ["3"]}
+    elif case == "word-length":
+        first["word"] = ["3", "3"]
+    elif case == "foreign-symbol":
+        first["word"] = ["5"]
+    elif case == "shared-t_max-text":
+        data["legs"].append({"word": ["1/2"], "t_max": "1/3"})
+    return data
+
+
+@pytest.mark.parametrize("case", LEG_SHAPED_ERRORS)
+def test_leg_shaped_objects_keep_their_errors(tmp_path, case):
+    path = tmp_path / "legs.json"
+    path.write_text(json.dumps(_leg_shaped(case)), encoding="utf-8")
+    for read in (lambda: load_fan(path), lambda: fan_from_dict(_leg_shaped(case))):
+        with pytest.raises(FormatError) as info:
+            read()
+        assert str(info.value) == LEG_SHAPED_ERRORS[case]
+
+
+def test_leg_text_hook_keeps_what_it_does_not_recognise():
+    hook = _leg_text_hook()
+    kept = [
+        {"word": [["3"]], "t_max": "1"},  # unhashable items
+        {"word": [{"a": 1}], "t_max": "1"},
+        {"word": ["3", 3], "t_max": "1"},
+        {"word": [1.0], "t_max": "1"},
+        {"word": [True], "t_max": "1"},
+        {"word": ["3"], "t_max": 1},
+        {"word": "3", "t_max": "1"},
+        {"t_max": "1", "word": ["3"]},
+        {"word": ["3"], "t_max": "1", "note": None},
+        {"word": ["3"]},
+        {},
+    ]
+    for obj in kept:
+        assert hook(obj) is obj
+    a = hook({"word": ["1/2", "3"], "t_max": "1/3"})
+    b = hook({"word": ["".join(["1/", "2"]), "".join(["1/", "2"])], "t_max": "".join(["1/", "3"])})
+    assert type(a) is type(b) is _LegText
+    assert repr(a) == repr({"word": ["1/2", "3"], "t_max": "1/3"})
+    assert a["word"] == ["1/2", "3"] and a["t_max"] == "1/3"
+    # Each text is the first equal text the hook saw.
+    assert b.word[0] is b.word[1] is a.word[0] and b.t_max is a.t_max
+    assert hook({"word": [], "t_max": "1"}) == _LegText((), "1")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_fan_keeps_the_malformed_leg_file_errors(tmp_path, case):
+    path = tmp_path / "legs.json"
+    path.write_text(json.dumps(_malformed(case)), encoding="utf-8")
+    with pytest.raises(FormatError) as expected:
+        fan_from_dict(_malformed(case))
+    with pytest.raises(FormatError) as info:
+        load_fan(path)
+    assert str(info.value) == str(expected.value)
+
+
+def test_load_fan_holds_the_fan_not_the_parsed_legs(tmp_path):
+    # Leg objects are read as tuples of shared texts, not as a dict holding
+    # a list of new strings each, and each is dropped once its leg is
+    # rebuilt: about 360 bytes per leg of F8 at the peak here (the loaded
+    # fan alone holds about 345), about 500 when the parsed legs were all
+    # held until the last was checked, and about 820 when every leg
+    # object stayed a dict.
+    path = tmp_path / "F8.json"
+    save_fan(enumerate_legs(F, 8), path)
+    tracemalloc.start()
+    try:
+        fan = load_fan(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fan.legs) == 3**8
+    assert peak < 430 * len(fan.legs), peak
+
+
+def _recording(legs, states: list):
+    """The legs, one at a time, appending the collector's state as each is read."""
+    for leg in legs:
+        states.append(gc.isenabled())
+        yield leg
+
+
+class _RecordingLegs(tuple):
+    """A tuple of legs whose iteration appends the collector's state to `states`."""
+
+    states: list = []
+
+    def __iter__(self):
+        return _recording(tuple.__iter__(self), self.states)
+
+
+def test_fans_are_built_with_the_collector_paused(tmp_path, monkeypatch):
+    fan = enumerate_legs(F, 4)
+    path = tmp_path / "F4.json"
+    save_fan(fan, path)
+    states = _RecordingLegs.states = []
+    grow = mahavier._grow_legs
+    monkeypatch.setattr(mahavier, "_grow_legs", lambda words: _recording(grow(words), states))
+    make_hook = mahavier._leg_text_hook
+
+    def recording_hook():
+        hook = make_hook()
+
+        def record(obj):
+            states.append(gc.isenabled())
+            return hook(obj)
+
+        return record
+
+    monkeypatch.setattr(mahavier, "_leg_text_hook", recording_hook)
+    weights = [2.0 ** -(k + 1) for k in range(5)]
+    # Its words decrease, so `_angles` puts them in a table, after its order
+    # check has read the first two legs.
+    reversed_fan = FanApprox(F, 4, _RecordingLegs(fan.legs[::-1]))
+    builds = {
+        "enumerate_legs": (lambda: enumerate_legs(F, 4), 0),
+        "sample_legs": (lambda: sample_legs(F, 30, 50, seed=1), 0),
+        "load_fan": (lambda: load_fan(path), 0),
+        "_trie": (lambda: analysis._trie(_recording(fan.legs, states), weights), 0),
+        "_angles": (lambda: render._angles(reversed_fan, render.ANGLE_CANTOR), 2),
+    }
+    assert gc.isenabled()
+    for name, (build, checked_first) in builds.items():
+        states.clear()
+        build()
+        assert len(states) > checked_first and not any(states[checked_first:]), name
+        assert gc.isenabled(), name
+    # The parsed objects and the rebuilt legs: 81 of each, and the document.
+    states.clear()
+    load_fan(path)
+    assert len(states) == 81 + 1 + 1 + 81
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_state_is_restored(tmp_path, enabled):
+    good = tmp_path / "good.json"
+    save_fan(enumerate_legs(F, 4), good)
+    tampered = fan_to_dict(enumerate_legs(F, 4))
+    tampered["legs"][40]["t_max"] = "1/7"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tampered), encoding="utf-8")
+    cut = tmp_path / "cut.json"
+    cut.write_text(good.read_text(encoding="utf-8")[:1000], encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(load_fan(good).legs) == 81
+        assert gc.isenabled() is enabled
+        with pytest.raises(FormatError, match="stored t_max 1/7"):
+            load_fan(bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load_fan(cut)
+        assert gc.isenabled() is enabled
+        enumerate_legs(F, 3)
+        sample_legs(F, 3, 5, seed=0)
+        assert gc.isenabled() is enabled
+        with _collector_paused():
+            with _collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import collections
+import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from oracles import cantor_angle_reference
+from oracles import angles_reference, cantor_angle_reference, render_reference
 
+from lelekfan import render
 from lelekfan import (
     ANGLE_CANTOR,
     ANGLE_UNIFORM,
     DomainError,
     FanApprox,
     RenderConfig,
+    RelationSpec,
     Word,
     angle_fractions,
     build_leg,
@@ -154,3 +159,56 @@ def test_duplicate_sampled_legs_render_once():
     svg = render_fan(fan)
     distinct_words = len({leg.word.symbols for leg in legs})
     assert svg.count("<line ") == distinct_words
+
+
+def _fans_to_render() -> dict:
+    """Enumerated, sampled, shuffled and hand-built fans, several with repeated words."""
+    shuffled = list(enumerate_legs(F, 4).legs) * 2
+    random.Random(5).shuffle(shuffled)
+    q = RelationSpec((Fraction(1, 3), Fraction(3, 4), Fraction(2), Fraction(5)))
+    words = [(Fraction(3), Fraction(1, 2)), (Fraction(1), Fraction(1)), (Fraction(3), Fraction(3))]
+    # Hand-built legs, each symbol an equal but distinct Fraction object.
+    hand = [build_leg(Word(tuple(Fraction(s.numerator, s.denominator) for s in w))) for w in words]
+    return {
+        "F5": enumerate_legs(F, 5),
+        "G6": enumerate_legs(G, 6),
+        "Q3": enumerate_legs(q, 3),
+        "sampled": FanApprox(F, 3, sample_legs(F, 3, 60, seed=7)),
+        "sampled-deep": FanApprox(F, 40, sample_legs(F, 40, 30, seed=3)),
+        "shuffled": FanApprox(F, 4, tuple(shuffled)),
+        "hand-built": FanApprox(F, 2, tuple(hand + hand[::-1])),
+        "one-word": FanApprox(F, 2, (hand[0], hand[0])),
+        "depth-0": enumerate_legs(F, 0),
+    }
+
+
+@pytest.mark.parametrize("angle_map", [ANGLE_CANTOR, ANGLE_UNIFORM])
+@pytest.mark.parametrize(
+    "name",
+    ["F5", "G6", "Q3", "sampled", "sampled-deep", "shuffled", "hand-built", "one-word", "depth-0"],
+)
+def test_render_fan_matches_reference(name, angle_map):
+    fan = _fans_to_render()[name]
+    expected = [(id(leg), x) for leg, x in angles_reference(fan, angle_map)]
+    assert [(id(leg), x) for leg, x in angle_fractions(fan, angle_map)] == expected
+    for config in (
+        RenderConfig(angle_map=angle_map),
+        RenderConfig(width=301, height=97, angle_map=angle_map, sweep=170.5, stroke_width=0.25),
+    ):
+        assert render_fan(fan, config) == render_reference(fan, config)
+
+
+@pytest.mark.parametrize("angle_map", [ANGLE_CANTOR, ANGLE_UNIFORM])
+def test_drawing_an_enumerated_fan_holds_nothing_per_leg(angle_map):
+    # Its words strictly increase, so they are drawn in their own order,
+    # with no table of words, and the lines are made one at a time: about
+    # 1 byte per leg of F8 at the peak here; a table of its words takes
+    # over 100.
+    fan = enumerate_legs(F, 8)
+    tracemalloc.start()
+    try:
+        collections.deque(render._svg_lines(fan, RenderConfig(angle_map=angle_map)), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(fan.legs), peak
