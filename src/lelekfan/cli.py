@@ -166,44 +166,39 @@ def cmd_endpoints(args) -> int:
     # `_grow_legs` sets t_max = 1/max(1, P_1, ..., P_n), and `fan_from_dict`
     # rejects a stored t_max that differs from it. The tip (t_max, P_1*t_max,
     # ..., P_n*t_max) first reaches 1 at index 0 when t_max = 1, else at the
-    # index k of the first P_k = 1/t_max. A walk makes one object per value
-    # and keeps each alive until it ends, so the peak product P_k and the
-    # flag are found once per t_max object, memoised by id, and the peak
-    # index by identity. A memo serves one walk: a second walk may reuse
-    # the ids of the first one's dead objects.
-    def per_t_max():
-        memo: dict[int, tuple] = {}  # id(t_max) -> (the peak product or None, the flag)
+    # index k of the first P_k = 1/t_max. A walk makes one object per value,
+    # so the peak product P_k and the flag are found once per t_max object,
+    # memoised by id, and the peak index by identity. The memo holds every
+    # t_max it keys, so no id is reused while it lives, over both walks.
+    tips: dict[int, tuple] = {}  # id(t_max) -> (t_max, the peak product or None, the flag)
+    texts: dict[tuple, str] = {}  # (peak index, flag) -> the leg's report fields
 
-        def peak_and_flag(leg) -> tuple:
-            t_max = leg.t_max
-            known = memo.get(id(t_max))
-            if known is None:
-                peak = None
-                if t_max != 1:
-                    value, products = (t_max.denominator, t_max.numerator), leg.prefix_products
-                    peak = next(p for p in products if (p.numerator, p.denominator) == value)
-                known = memo[id(t_max)] = (peak, mahavier.is_degenerating(leg, threshold))
-            return known
+    def tip(leg) -> tuple:
+        t_max = leg.t_max
+        known = tips.get(id(t_max))
+        if known is None:
+            peak = None
+            if t_max != 1:
+                value = (t_max.denominator, t_max.numerator)
+                peak = next(p for p in leg.prefix_products if (p.numerator, p.denominator) == value)
+            known = tips[id(t_max)] = (t_max, peak, mahavier.is_degenerating(leg, threshold))
+        return known
 
-        return peak_and_flag
-
-    counted, written = per_t_max(), per_t_max()
-
-    def fields(leg) -> dict:
-        peak, flag = written(leg)
+    def fields(leg) -> str:
+        _, peak, flag = tip(leg)
         peak_index = 0
         if peak is not None:
             for peak_index, p in enumerate(leg.prefix_products, 1):
                 if p is peak:
                     break
-        return {
-            "kind": analysis.EXACT,
-            "peak_index": peak_index,
-            "peak_value": "1",
-            "degenerating": flag,
-        }
+        text = texts.get((peak_index, flag))
+        if text is None:
+            text = texts[peak_index, flag] = mahavier._fields_text(
+                dict(kind=analysis.EXACT, peak_index=peak_index, peak_value="1", degenerating=flag)
+            )
+        return text
 
-    flags = [counted(leg)[1] for leg in walk()]
+    flags = [tip(leg)[2] for leg in walk()]
     head = {
         "depth": depth,
         "delta": format_scalar(delta),

@@ -443,12 +443,11 @@ def _parse_text(text, what: str) -> Fraction:
 
 
 class _LegText(namedtuple("_LegText", "word t_max")):
-    """A leg object of a leg file as `load_fan` reads it: a tuple of word texts and a t_max text.
+    """A leg object of a leg file as the reader holds it: a tuple of word texts and a t_max text.
 
-    It stands for the dict {"word": list(word), "t_max": t_max} that
-    `json.load` parsed. `fan_from_dict` reads it inside "legs"; anywhere
-    else it must fail as that dict fails, so subscripting it and its repr
-    go through the dict, and every error message reads the same.
+    It stands for the dict {"word": list(word), "t_max": t_max}. Anywhere
+    but inside "legs" it must fail as that dict fails, so subscripting it
+    and its repr go through the dict, and every error message reads the same.
     """
 
     __slots__ = ()
@@ -511,32 +510,38 @@ def _fan_head(data) -> tuple[RelationSpec, int, list]:
     return relation, depth, _list_field(raw_legs, "legs")
 
 
+def _leg_text(raw) -> _LegText:
+    """A leg object of "legs" as a `_LegText`: itself, or a dict with a "word" list and a "t_max".
+
+    A dict's texts are kept as they are, so one of the wrong type fails when it is parsed.
+    """
+    if type(raw) is _LegText:
+        return raw
+    if type(raw) is not dict:
+        raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
+    for key in ("word", "t_max"):
+        if key not in raw:
+            raise FormatError(f"malformed leg file: leg {_echo(raw)} has no {key!r}")
+    return _LegText(tuple(_list_field(raw["word"], "word")), raw["t_max"])
+
+
 def _fan_legs(relation: RelationSpec, depth: int, raws) -> FanApprox:
     """The fan of the leg objects `raws`, any iterable read once, each rebuilt and checked.
 
-    Each distinct scalar text is parsed and checked once per call: a word
-    text is then one lookup, and a t_max text, once checked, stands for
-    the walk's own cap object, so a later leg with that text is checked by
-    identity. Every symbol is the relation's own slope object, so the legs
-    are rebuilt by one `_grow_legs` walk, as in `enumerate_legs`, and a
-    file in `enumerate_legs` order costs about one step per leg. Legs are
-    parsed, rebuilt and checked one at a time, so the first error in file
-    order is reported. A leg object is a dict or a `_LegText`.
+    Each leg object is read through `_leg_text`, and each distinct scalar
+    text is parsed and checked once per call: a word text is then one
+    lookup, and a checked t_max text stands for the walk's own cap object,
+    so a later leg with that text is checked by identity. The legs are
+    rebuilt by one `_grow_legs` walk over the relation's own slope
+    objects, as in `enumerate_legs`, one at a time, so the first error in
+    file order is reported.
     """
     own_slope = {s: s for s in relation.slopes}
     symbol_of: dict[str, Fraction] = {}  # word text -> the relation's own slope
     t_max_of: dict[str, Fraction] = {}
 
-    def symbols_of(raw) -> tuple[Fraction, ...]:
-        if type(raw) is _LegText:
-            word_texts = raw.word
-        else:
-            if type(raw) is not dict:
-                raise FormatError(f"malformed leg file: leg {_echo(repr(raw))} is not an object")
-            for key in ("word", "t_max"):
-                if key not in raw:
-                    raise FormatError(f"malformed leg file: leg {_echo(raw)} has no {key!r}")
-            word_texts = _list_field(raw["word"], "word")
+    def symbols_of(raw: _LegText) -> tuple[Fraction, ...]:
+        word_texts = raw.word
         if len(word_texts) != depth:
             raise FormatError(
                 f"word {_echo(list(word_texts))} has length {len(word_texts)}, "
@@ -565,9 +570,9 @@ def _fan_legs(relation: RelationSpec, depth: int, raws) -> FanApprox:
     # zip reads leg i from raws before the walk parses it, and the walk
     # parses leg i + 1 only after leg i's t_max has been checked; tee holds
     # leg i only until both have read it.
-    checked, parsed = itertools.tee(raws)
+    checked, parsed = itertools.tee(map(_leg_text, raws))
     for raw, leg in zip(checked, _grow_legs(map(symbols_of, parsed))):
-        text = raw.t_max if type(raw) is _LegText else raw["t_max"]
+        text = raw.t_max
         stored = t_max_of.get(text) if type(text) is str else None
         if stored is None:
             stored = t_max_of[text] = _parse_text(text, "t_max")
@@ -586,14 +591,18 @@ def _fan_legs(relation: RelationSpec, depth: int, raws) -> FanApprox:
 def fan_from_dict(data: dict) -> FanApprox:
     """Rebuild a fan from its JSON form, recomputing and verifying each leg.
 
-    Prefix products are recomputed from the stored words; a stored t_max
-    that disagrees with the recomputed value is a FormatError, and so is
-    any field of the wrong JSON type. The relation, depth and leg list are
-    checked first, then each leg in file order: its word is read, its leg
-    rebuilt by the prefix walk `enumerate_legs` runs and its stored t_max
-    checked, so the first error in file order is reported.
+    A stored t_max that disagrees with the one recomputed from its word is
+    a FormatError, and so is any field of the wrong JSON type. The
+    relation, depth and leg list are checked first, then each leg in file
+    order, so the first error in file order is reported.
     """
     return _fan_legs(*_fan_head(data))
+
+
+def _fields_text(fields: dict) -> str:
+    """The text of `fields` as json.dumps(..., indent=2) lays them out after a leg's "t_max"."""
+    inner = json.dumps(fields, indent=2)[1:-2]  # the fields' lines, without the braces
+    return "," + inner.replace("\n", "\n    ") if inner else ""
 
 
 def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
@@ -601,38 +610,18 @@ def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
 
     Joined, the pieces are json.dumps({**fields, "legs": legs}, indent=2)
     and a newline, where each leg is {"word": ..., "t_max": ...} formatted
-    by `format_scalar`, followed by the fields of `more(leg)` when `more`
-    is given. This is the only code that lays out a leg file or an
-    endpoint report. `legs` is any iterable of legs over the relation's
-    slopes, read once, so a walk can be written as it runs without holding
-    its legs. Each slope's indented line is formatted once, through
-    `_symbol_values`, and each distinct t_max object once, memoised by id.
-    No memoised id is reused while legs are read: a held collection keeps
-    every t_max alive, and so does a stream from one `_grow_legs` walk,
-    whose `values` table holds every t_max it made until the walk is
-    exhausted, even when each leg is dropped as soon as it is written.
+    by `format_scalar`, followed by `more(leg)`, when given: the text of
+    its further fields, as `_fields_text` lays them out. `legs` is any
+    iterable of legs, read once, so a walk is written as it runs. Each
+    slope's line is formatted once, through `_symbol_values`, and each
+    t_max object once, memoised by id; the memo holds each t_max it keys,
+    so no id is reused, even when each leg is dropped once it is written.
     """
-    t_max_texts: dict[int, str] = {}
-    field_texts: dict[tuple, str] = {}
+    t_max_texts: dict[int, tuple] = {}  # id(t_max) -> (t_max, its text)
 
     def word_item(symbol) -> str:
         # A word's item line, indented as json.dumps indents it inside "legs".
         return "\n        " + json.dumps(format_scalar(symbol))
-
-    def field_text(item) -> str:
-        # A field of `more(leg)`, laid out as json.dumps lays it out after
-        # "t_max". A field whose key is a str and whose value has one of
-        # these exact types is laid out once per distinct (key, type,
-        # value): True == 1, so a memo keyed by value alone would write one
-        # for the other. Floats are laid out every time, since -0.0 == 0.0.
-        key, value = item
-        memoised = type(key) is str and type(value) in (str, int, bool, type(None))
-        text = field_texts.get((key, type(value), value)) if memoised else None
-        if text is None:
-            text = ",\n    " + json.dumps({key: value}, indent=2)[2:-2].replace("\n", "\n    ")
-            if memoised:
-                field_texts[key, type(value), value] = text
-        return text
 
     items = _symbol_values(relation, [word_item(s) for s in relation.slopes], word_item)
     # The head: the text of the document with no legs, up to its "[]\n}".
@@ -640,13 +629,13 @@ def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
     opening = first = "[\n    {"
     for leg in legs:
         t_max = leg.t_max
-        t_text = t_max_texts.get(id(t_max))
-        if t_text is None:
-            t_text = t_max_texts[id(t_max)] = json.dumps(format_scalar(t_max))
+        known = t_max_texts.get(id(t_max))
+        if known is None:
+            known = t_max_texts[id(t_max)] = (t_max, json.dumps(format_scalar(t_max)))
         word = ",".join(items(leg.word.symbols))
         word = f"[{word}\n      ]" if word else "[]"
-        extra = "".join(map(field_text, more(leg).items())) if more else ""
-        yield f'{opening}\n      "word": {word},\n      "t_max": {t_text}{extra}\n    }}'
+        extra = more(leg) if more else ""
+        yield f'{opening}\n      "word": {word},\n      "t_max": {known[1]}{extra}\n    }}'
         opening = ",\n    {"
     yield "[]\n}\n" if opening is first else "\n  ]\n}\n"
 
@@ -654,10 +643,8 @@ def _fan_json(fields: dict, relation: RelationSpec, legs, more=None):
 def _save(path, relation: RelationSpec, depth: int, legs) -> int:
     """Write the leg file of `legs`, read once, to `path`; return how many legs it holds.
 
-    The bytes are those of json.dumps(data, indent=2) and a newline, for
-    the dict data that `fan_from_dict` reads, but `_fan_json` writes the
-    legs one at a time, so neither the dict nor the whole text is built,
-    and a stream of legs is never held.
+    The bytes are json.dumps(data, indent=2) and a newline for the dict
+    that `fan_from_dict` reads, written leg by leg by `_fan_json`.
     """
     slopes = [format_scalar(s) for s in relation.slopes]
     pieces = _fan_json({"relation": {"slopes": slopes}, "depth": depth}, relation, legs)

@@ -149,7 +149,7 @@ def _svg_lines(fan: FanApprox, config: RenderConfig):
     returned, so a caller can write the lines as they are drawn and never
     hold them. An angle num/den and a cap t_max = p/q are converted as
     num / den and p / q, which round correctly, as float of the reduced
-    Fraction does; each distinct t_max object is converted once.
+    Fraction does.
     """
     if not fan.legs:
         raise DomainError("cannot render an empty fan")
@@ -169,14 +169,10 @@ def _svg_lines(fan: FanApprox, config: RenderConfig):
         f'<g stroke="black" stroke-width="{config.stroke_width:g}" stroke-linecap="round">\n',
     )
     apex = f'<line x1="{_fmt(apex_x)}" y1="{_fmt(apex_y)}" '
-    lengths: dict[int, float] = {}  # id(t_max) -> stroke length; the fan keeps each alive
 
     def stroke(angle) -> str:
         leg, num, den = angle
-        t_max = leg.t_max
-        length = lengths.get(id(t_max))
-        if length is None:
-            length = lengths[id(t_max)] = radius * (t_max.numerator / t_max.denominator)
+        length = radius * (leg.t_max.numerator / leg.t_max.denominator)
         phi = (num / den - 0.5) * sweep
         end_x = apex_x + length * math.sin(phi)
         end_y = apex_y + length * math.cos(phi)
@@ -188,7 +184,7 @@ def _svg_lines(fan: FanApprox, config: RenderConfig):
 def render_fan(fan: FanApprox, config: RenderConfig = RenderConfig()) -> str:
     """Render a fan as an SVG 1.1 document, byte-deterministic for fixed inputs.
 
-    A t_max or angle x = p/q is converted as p / q, which rounds
-    correctly, as float(x) does.
+    The document is the lines of `_svg_lines`, joined, so each float is
+    that of its exact Fraction.
     """
     return "".join(_svg_lines(fan, config))

@@ -44,9 +44,11 @@ from lelekfan.mahavier import (
     _collector_paused,
     _drawn,
     _fan_json,
+    _fields_text,
     _grow_legs,
     _leg_text_hook,
     _LegText,
+    _save,
     _symbol_values,
     _walk,
 )
@@ -654,10 +656,10 @@ def test_save_fan_writes_one_indented_dump(tmp_path, order):
     assert load_fan(path) == fan
 
 
-# The further fields of leg i are EXTRA_FIELDS[name][i % len]. Equal
-# values of different types (True == 1, False == 0, -0.0 == 0.0) on
-# successive legs under one key: a memo of field texts keyed by value alone
-# writes the first one's text for the other.
+# The further fields of leg i are EXTRA_FIELDS[name][i % len]: flat
+# values of every JSON type, equal values of different types (True == 1,
+# False == 0, -0.0 == 0.0) on successive legs under one key, and nested
+# values, each laid out as json.dumps lays it out.
 EXTRA_FIELDS = {
     "true-then-1": ({"flag": True}, {"flag": 1}),
     "1-then-true": ({"flag": 1}, {"flag": True}),
@@ -684,12 +686,26 @@ def test_fan_json_lays_out_extra_fields_as_json_dumps(name, fields):
     position = {id(leg): i for i, leg in enumerate(fan.legs)}
 
     def more(leg):
-        return choices[position[id(leg)] % len(choices)]
+        return _fields_text(choices[position[id(leg)] % len(choices)])
 
     head = {"depth": fan.depth, "count": 0, "flagged": True, "nested": {"a": [1, {}]}}
     legs = [{**d, **choices[i % len(choices)]} for i, d in enumerate(fan_to_dict(fan)["legs"])]
     expected = json.dumps({**head, "legs": legs}, indent=2) + "\n"
     assert "".join(_fan_json(head, fan.relation, fan.legs, more)) == expected
+
+
+def test_fields_text_lays_out_flat_fields_as_json_dumps():
+    fields = [
+        {},
+        {"kind": "exact", "peak_index": 0, "peak_value": "1", "degenerating": False},
+        {"kind": "exact", "peak_index": 12, "peak_value": "1", "degenerating": True},
+        {"note": 'a "quoted"\nline \u00e9', "count": -3, "big": 10**30, "value": None},
+    ]
+    leg = {"word": ["1"], "t_max": "1"}
+    without = json.dumps({"legs": [leg]}, indent=2)
+    for flat in fields:
+        laid_out = without.replace('"1"\n    }', f'"1"{_fields_text(flat)}\n    }}')
+        assert laid_out == json.dumps({"legs": [{**leg, **flat}]}, indent=2), flat
 
 
 @pytest.mark.parametrize("order", ["enumerated", "shuffled", "reversed", "sampled", "depth-0"])
@@ -760,20 +776,35 @@ def _one_id_per_value(legs):
     ids=["F7", "Q4", "G0", "sampled", "no-legs"],
 )
 def test_fan_json_writes_a_one_shot_walk_as_its_tuple(relation, depth, walk):
-    # Streamed, each leg is dropped once its piece is made, and only the
-    # walk's value table keeps its t_max alive for the writer's memo by id.
+    # Streamed, each leg is dropped once its piece is made, and the writer's
+    # memo by id keeps each t_max it keys alive.
     head = {"depth": depth}
 
-    def more(leg):
+    def flag(leg):
         return {"degenerating": is_degenerating(leg, Fraction(1, 9))}
 
+    def more(leg):
+        return _fields_text(flag(leg))
+
     legs = tuple(walk())
-    dumped = [{**d, **more(leg)} for d, leg in zip(fan_to_dict(FanApprox(relation, depth, legs))["legs"], legs)]
+    dumped = [{**d, **flag(leg)} for d, leg in zip(fan_to_dict(FanApprox(relation, depth, legs))["legs"], legs)]
     expected = json.dumps({**head, "legs": dumped}, indent=2) + "\n"
     assert "".join(_fan_json(head, relation, legs, more)) == expected
     del legs, dumped
     gc.collect()
     assert "".join(_fan_json(head, relation, _one_id_per_value(walk()), more)) == expected
+
+
+def test_save_writes_a_stream_of_separately_built_legs_as_its_tuple(tmp_path):
+    # Each leg is built by a walk of its own and dropped once it is written,
+    # so nothing but the writer keeps its t_max alive, and the next leg's
+    # t_max may take a dead one's id.
+    rng = random.Random(11)
+    words = [Word(tuple(rng.choice(F.slopes) for _ in range(6))) for _ in range(400)]
+    held, streamed = tmp_path / "held.json", tmp_path / "streamed.json"
+    assert _save(held, F, 6, tuple(build_leg(word) for word in words)) == 400
+    assert _save(streamed, F, 6, (build_leg(word) for word in words)) == 400
+    assert streamed.read_bytes() == held.read_bytes()
 
 
 def test_fan_json_finds_equal_but_distinct_symbols():
